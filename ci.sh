@@ -106,6 +106,22 @@ if ! cargo run --release -q -p rumba-cli --bin rumba -- report "$smoke_dir/fault
 fi
 echo "    NaN injection quarantined; fault events present and parse clean"
 
+echo "==> perfbench: unit tests + churn correctness smoke"
+# The benchmark package's own tests, then a short churn run. Its last
+# line says whether every response matched the in-process replay and
+# every restored session continued its source's stream byte for byte —
+# cross-shard restores through the server's shared prepared store
+# included. Only correctness is checked here; no timing is asserted.
+cargo test -q --offline --manifest-path perfbench/Cargo.toml >/dev/null
+churn=$(cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+    --workload churn --seed 1 --seconds 2 --trace 0 2>/dev/null | tail -n 1)
+if ! echo "$churn" | grep -q '"correct":true'; then
+    echo "FAIL: perfbench churn smoke did not report \"correct\":true" >&2
+    echo "$churn" | head -c 2000 >&2
+    exit 1
+fi
+echo "    perfbench tests green; churn smoke correct"
+
 echo "==> serving layer: isolation + backpressure suites at 1 and 4 threads"
 # The multiplexed scheduler's determinism contract is thread-count
 # independence; the same suites must pass serial and parallel.

@@ -25,6 +25,7 @@
 //!   ([`bench`]).
 
 pub mod bench;
+pub mod prepared;
 pub mod protocol;
 pub mod registry;
 pub mod session;
@@ -32,6 +33,7 @@ pub mod shard;
 pub mod snapshot;
 pub mod transport;
 
+pub use prepared::PreparedStore;
 pub use registry::{ServeRuntime, Submit};
 pub use session::{
     AdmissionPolicy, CheckerKind, Session, SessionConfig, SessionResult, SessionStats,

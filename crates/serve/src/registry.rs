@@ -1,9 +1,12 @@
 //! Session registry and the deterministic multi-tenant batch scheduler.
 
+use std::sync::Arc;
+
 use rumba_accel::Npu;
 use rumba_core::zoo::ModelZoo;
 use rumba_nn::{Matrix, NnError, Scratch};
 
+use crate::prepared::PreparedStore;
 use crate::session::{
     compute_batch, Admit, PendingBatch, Session, SessionConfig, SessionResult, SessionStats,
 };
@@ -42,16 +45,34 @@ pub enum Submit {
 ///    recovery, tuning, telemetry) runs serially in session-open order
 ///    via the same `process_approx` path a solo stream uses. Threads only
 ///    ever touch the pure phase.
+///
+/// Sessions take their offline state from the runtime's
+/// [`PreparedStore`]: the first open or restore of a `(kernel, seed)`
+/// trains (or cache-loads) and calibrates it, later ones reuse it.
 #[derive(Debug, Default)]
 pub struct ServeRuntime {
     sessions: Vec<Session>,
+    store: Arc<PreparedStore>,
 }
 
 impl ServeRuntime {
-    /// An empty runtime.
+    /// An empty runtime with its own empty [`PreparedStore`].
     #[must_use]
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// An empty runtime drawing on a store it shares with others (the
+    /// shards of one server share one).
+    #[must_use]
+    pub fn with_store(store: Arc<PreparedStore>) -> Self {
+        Self { sessions: Vec::new(), store }
+    }
+
+    /// The prepared-state store this runtime opens and restores from.
+    #[must_use]
+    pub fn store(&self) -> &PreparedStore {
+        &self.store
     }
 
     /// Opens a named session; returns its calibrated firing threshold.
@@ -66,7 +87,7 @@ impl ServeRuntime {
         if self.index(name).is_ok() {
             return Err(ServeError::DuplicateSession(name.to_owned()));
         }
-        let session = Session::open(name, config)?;
+        let session = Session::open(&self.store, name, config)?;
         let threshold = session.threshold();
         self.sessions.push(session);
         Ok(threshold)
@@ -87,7 +108,7 @@ impl ServeRuntime {
         if self.index(name).is_ok() {
             return Err(ServeError::DuplicateSession(name.to_owned()));
         }
-        let session = Session::restore(name, state)?;
+        let session = Session::restore(&self.store, name, state)?;
         let threshold = session.threshold();
         self.sessions.push(session);
         Ok(threshold)

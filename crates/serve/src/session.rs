@@ -4,20 +4,30 @@
 use std::collections::VecDeque;
 
 use rumba_accel::{CheckerUnit, Npu};
-use rumba_apps::{kernel_by_name, Kernel, Split};
+use rumba_apps::{kernel_by_name, Kernel};
 use rumba_core::event_sim::{simulate_detailed_with_faults, QueueConfig};
 use rumba_core::runtime::MAX_ZOO_PRESSURE;
 use rumba_core::runtime::{FixPolicy, RefitConfig, RumbaSystem, RuntimeConfig, WatchdogConfig};
-use rumba_core::trainer::{invocation_errors, train_app, OfflineConfig, TrainedApp};
-use rumba_core::tuner::{calibrate_threshold, Tuner, TuningMode};
-use rumba_core::zoo::{train_zoo, ModelZoo};
+use rumba_core::trainer::TrainedApp;
+use rumba_core::tuner::{Tuner, TuningMode};
+use rumba_core::zoo::ModelZoo;
 use rumba_faults::FaultPlan;
-use rumba_nn::{Matrix, MatrixView, NnDataset, NnError, Scratch};
+use rumba_nn::{Matrix, MatrixView, NnError, Scratch};
 use rumba_obs::Event;
 use rumba_predict::{EmaDetector, ErrorEstimator};
 
+use crate::prepared::{Prepared, PreparedStore};
 use crate::snapshot::SnapshotParts;
 use crate::ServeError;
+
+/// Largest request-queue bound (`queue`) a session may ask for.
+pub const MAX_QUEUE: usize = 1 << 16;
+
+/// Largest tuning window (`window`) a session may ask for.
+pub const MAX_WINDOW: usize = 1 << 20;
+
+/// Largest model-zoo tier count (`zoo`) a session may ask for.
+pub const MAX_ZOO: usize = 8;
 
 /// Which online checker a session runs. Mirrors the CLI's checker choice,
 /// restricted to the schemes that need no extra training pass at session
@@ -347,21 +357,26 @@ pub struct Session {
 }
 
 impl Session {
-    /// Opens a session: trains (or cache-loads) the app, calibrates the
-    /// checker threshold exactly as `rumba run` does, and arms the
-    /// per-session fault plan and watchdog.
+    /// Opens a session: takes the app and its calibrations for the
+    /// config from `store` (training, cache-loading and calibrating on
+    /// the first open of the key), then arms the per-session fault plan
+    /// and watchdog. The threshold is calibrated exactly as `rumba run`
+    /// does.
     ///
     /// # Errors
     ///
     /// Fails on unknown kernels, invalid configuration, or offline
     /// training failures.
-    pub fn open(name: &str, config: SessionConfig) -> Result<Self, ServeError> {
-        let kernel = kernel_by_name(&config.kernel)
-            .ok_or_else(|| ServeError::UnknownKernel(config.kernel.clone()))?;
-        let offline = OfflineConfig { seed: config.seed, ..OfflineConfig::default() };
-        let app = train_app(kernel.as_ref(), &offline)?;
-        let threshold = calibrate(&app, config.checker, kernel.as_ref(), config.seed, config.mode)?;
-        let session = Self::assemble(name, config, &app, threshold)?;
+    pub fn open(
+        store: &PreparedStore,
+        name: &str,
+        config: SessionConfig,
+    ) -> Result<Self, ServeError> {
+        let kernel = checked_kernel(&config)?;
+        let prepared = store.get(kernel.as_ref(), config.seed)?;
+        let threshold =
+            prepared.threshold(kernel.as_ref(), config.checker, quality_budget(config.mode))?;
+        let session = Self::assemble(name, config, kernel, &prepared, threshold)?;
         session.emit_session_event("open");
         Ok(session)
     }
@@ -372,24 +387,23 @@ impl Session {
     /// stream to whatever shard owns it). The restored session continues
     /// bit-for-bit where the snapshot was taken: same tuner threshold,
     /// checker history, fault-stream position, queued inputs, and
-    /// uncollected results.
+    /// uncollected results. The snapshot's configuration is checked like
+    /// an `open`'s before anything is built from it.
     ///
     /// # Errors
     ///
-    /// Fails on malformed snapshot text, unknown kernels, or offline
-    /// training failures.
-    pub fn restore(name: &str, text: &str) -> Result<Self, ServeError> {
+    /// Fails on malformed snapshot text, unknown kernels, invalid
+    /// configuration, or offline training failures.
+    pub fn restore(store: &PreparedStore, name: &str, text: &str) -> Result<Self, ServeError> {
         let parts = SnapshotParts::parse(text)
             .map_err(|e| ServeError::InvalidConfig(format!("snapshot: {e}")))?;
         let config = parts.config.clone();
-        let kernel = kernel_by_name(&config.kernel)
-            .ok_or_else(|| ServeError::UnknownKernel(config.kernel.clone()))?;
-        let offline = OfflineConfig { seed: config.seed, ..OfflineConfig::default() };
-        let app = train_app(kernel.as_ref(), &offline)?;
+        let kernel = checked_kernel(&config)?;
+        let prepared = store.get(kernel.as_ref(), config.seed)?;
         // The placeholder threshold never fires: `import_state` rebuilds
         // the tuner at the snapshotted threshold (and the calibration
-        // anchor), so the calibration probe is skipped entirely.
-        let mut session = Self::assemble(name, config, &app, 1.0)?;
+        // anchor), so the threshold calibration is skipped entirely.
+        let mut session = Self::assemble(name, config, kernel, &prepared, 1.0)?;
         session
             .system
             .import_state(&parts.runtime)
@@ -433,22 +447,16 @@ impl Session {
     }
 
     /// Shared construction path of [`Session::open`] and
-    /// [`Session::restore`]: validates the configuration and assembles the
-    /// pipeline around an already-trained app at the given threshold.
+    /// [`Session::restore`]: assembles the pipeline around a prepared app
+    /// at the given threshold.
     fn assemble(
         name: &str,
         config: SessionConfig,
-        app: &TrainedApp,
+        kernel: Box<dyn Kernel>,
+        prepared: &Prepared,
         threshold: f64,
     ) -> Result<Self, ServeError> {
-        let kernel = kernel_by_name(&config.kernel)
-            .ok_or_else(|| ServeError::UnknownKernel(config.kernel.clone()))?;
-        if config.window == 0 {
-            return Err(ServeError::InvalidConfig("window must be positive".into()));
-        }
-        if config.queue.input_capacity == 0 {
-            return Err(ServeError::InvalidConfig("queue capacity must be positive".into()));
-        }
+        let app = prepared.app();
         let checker = build_checker(config.checker, app, kernel.as_ref())?;
         let runtime = RuntimeConfig {
             window: config.window,
@@ -466,41 +474,9 @@ impl Session {
         system.set_session_label(name);
         system.set_fault_plan(config.faults.clone());
         if config.zoo > 0 {
-            let offline = OfflineConfig { seed: config.seed, ..OfflineConfig::default() };
-            let zoo = train_zoo(kernel.as_ref(), app, &offline, config.zoo)?;
-            // The bar base is calibrated on the train split under the same
-            // mean-error contract as the firing threshold (a raw 1 - toq
-            // per-invocation cut would over-route to exact CPU).
-            let train = kernel.generate(Split::Train, config.seed);
-            // A tenth of the budget is held back as generalization margin
-            // (the tiers and routers were fit on this same split).
-            let budget = 0.9 * quality_budget(config.mode);
-            let rows: Vec<&[f64]> = (0..train.len()).map(|i| train.input(i)).collect();
-            let mut tier_errors: Vec<Vec<f64>> = zoo
-                .tiers()
-                .iter()
-                .map(|t| invocation_errors(kernel.as_ref(), &t.npu, &train))
-                .collect::<Result<_, _>>()?;
-            let bar = zoo.calibrate_bar(&rows, &tier_errors, budget);
-            // Queue-pressure degradation may widen the bar only as far as
-            // the checker/recovery loop can still vouch for the budget:
-            // rows the checker flags re-execute exactly at every tier, so
-            // they are credited as zero error and the same calibration run
-            // again gives the widest safe bar. The mask uses the
-            // calibration-time threshold — a pure function of the config,
-            // not the tuner's adaptive state — so `restore` rebuilds the
-            // identical ceiling.
-            let predicted = probe_predictions(app, config.checker, kernel.as_ref(), &train)?;
-            let fire_threshold =
-                calibrate_threshold(&predicted, &app.train_errors, quality_budget(config.mode));
-            for errors in &mut tier_errors {
-                for (e, p) in errors.iter_mut().zip(&predicted) {
-                    if *p > fire_threshold {
-                        *e = 0.0;
-                    }
-                }
-            }
-            let ceiling = zoo.calibrate_bar(&rows, &tier_errors, budget);
+            let budget = quality_budget(config.mode);
+            let (zoo, bar, ceiling) =
+                prepared.zoo(kernel.as_ref(), config.zoo, config.checker, budget)?;
             system.attach_zoo(zoo, bar)?;
             system.set_zoo_pressure_ceiling(ceiling);
         }
@@ -526,6 +502,7 @@ impl Session {
             queue: config.queue,
             fault_plan: config.faults.clone(),
             cpu_cycles,
+            // `checked_kernel` bounds the capacity, so this cannot overflow.
             pending_inputs: Vec::with_capacity(config.queue.input_capacity * input_dim),
             pending_rows: 0,
             completed: VecDeque::new(),
@@ -995,7 +972,7 @@ impl Session {
     }
 }
 
-fn build_checker(
+pub(crate) fn build_checker(
     kind: CheckerKind,
     app: &TrainedApp,
     kernel: &dyn Kernel,
@@ -1008,36 +985,31 @@ fn build_checker(
     })
 }
 
-/// Probes a fresh checker of `kind` over the train split's accelerator
-/// outputs, returning the per-invocation error predictions the threshold
-/// (and the zoo's degradation ceiling) are calibrated against. Pure in
-/// the app and config, so `open` and `restore` reproduce it bit-for-bit.
-fn probe_predictions(
-    app: &TrainedApp,
-    kind: CheckerKind,
-    kernel: &dyn Kernel,
-    train: &NnDataset,
-) -> Result<Vec<f64>, ServeError> {
-    let mut probe = build_checker(kind, app, kernel)?;
-    let mut scratch = Scratch::new();
-    let mut approx = Matrix::default();
-    app.rumba_npu.invoke_batch(train.inputs_view(), &mut scratch, &mut approx)?;
-    Ok((0..train.len()).map(|i| probe.estimate(train.input(i), approx.row(i))).collect())
-}
-
-/// Threshold calibration, identical to `rumba run`: probe the checker over
-/// the train split's accelerator outputs, then pick the threshold whose
-/// firing rate meets the mode's error target on the training errors.
-fn calibrate(
-    app: &TrainedApp,
-    kind: CheckerKind,
-    kernel: &dyn Kernel,
-    seed: u64,
-    mode: TuningMode,
-) -> Result<f64, ServeError> {
-    let train = kernel.generate(Split::Train, seed);
-    let predicted = probe_predictions(app, kind, kernel, &train)?;
-    Ok(calibrate_threshold(&predicted, &app.train_errors, quality_budget(mode)))
+/// Looks up the config's kernel and checks the config's sizes against
+/// [`MAX_WINDOW`], [`MAX_QUEUE`] and [`MAX_ZOO`] — before anything is
+/// trained, prepared or allocated for it, so an absurd `open` or a
+/// tampered snapshot costs one in-band error.
+fn checked_kernel(config: &SessionConfig) -> Result<Box<dyn Kernel>, ServeError> {
+    let kernel = kernel_by_name(&config.kernel)
+        .ok_or_else(|| ServeError::UnknownKernel(config.kernel.clone()))?;
+    let bounded = |what: &str, value: usize, min: usize, max: usize| {
+        if (min..=max).contains(&value) {
+            Ok(())
+        } else {
+            Err(ServeError::InvalidConfig(format!("{what} must be in {min}..={max}, got {value}")))
+        }
+    };
+    bounded("window", config.window, 1, MAX_WINDOW)?;
+    bounded("queue capacity", config.queue.input_capacity, 1, MAX_QUEUE)?;
+    bounded("zoo", config.zoo, 0, MAX_ZOO)?;
+    config.queue.input_capacity.checked_mul(kernel.input_dim()).ok_or_else(|| {
+        ServeError::InvalidConfig(format!(
+            "queue capacity {} overflows at {} inputs per row",
+            config.queue.input_capacity,
+            kernel.input_dim()
+        ))
+    })?;
+    Ok(kernel)
 }
 
 /// The session's mean-error budget: the threshold calibration target,

@@ -24,12 +24,13 @@
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 
 use rumba_obs::json::{parse_object, ObjectExt};
 use rumba_obs::Event;
 
+use crate::prepared::PreparedStore;
 use crate::protocol::{closed_line, error_line, handle_line, result_line};
 use crate::registry::ServeRuntime;
 
@@ -61,8 +62,8 @@ enum ShardMsg {
     CloseAll { reply: Sender<Groups> },
 }
 
-fn shard_loop(index: u64, rx: &Receiver<ShardMsg>) {
-    let mut rt = ServeRuntime::new();
+fn shard_loop(index: u64, rx: &Receiver<ShardMsg>, store: Arc<PreparedStore>) {
+    let mut rt = ServeRuntime::with_store(store);
     let mut requests = 0u64;
     if rumba_obs::enabled() {
         rumba_obs::global_sink().emit(&Event::Shard {
@@ -143,16 +144,20 @@ pub struct Router {
 }
 
 impl Router {
-    /// Spawns `shards` shard threads (at least one).
+    /// Spawns `shards` shard threads (at least one) sharing one empty
+    /// [`PreparedStore`], so a session restored on another shard reuses
+    /// the state its source's open prepared.
     #[must_use]
     pub fn new(shards: usize) -> Self {
         let shards = shards.max(1);
+        let store = Arc::new(PreparedStore::new());
         let mut senders = Vec::with_capacity(shards);
         let mut handles = Vec::with_capacity(shards);
         for index in 0..shards {
             let (tx, rx) = channel();
             senders.push(tx);
-            handles.push(std::thread::spawn(move || shard_loop(index as u64, &rx)));
+            let store = Arc::clone(&store);
+            handles.push(std::thread::spawn(move || shard_loop(index as u64, &rx, store)));
         }
         Self {
             senders,

@@ -177,7 +177,9 @@ impl SnapshotParts {
             let name = tokens.next().ok_or("section is missing its name")?;
             let count =
                 parse_dec(tokens.next().ok_or("section is missing its word count")?, "count")?;
-            let mut words = Vec::with_capacity(count as usize);
+            // Every word takes at least two bytes of the text, which bounds
+            // the preallocation whatever count a tampered line claims.
+            let mut words = Vec::with_capacity((count as usize).min(text.len() / 2));
             for _ in 0..count {
                 let hex = tokens
                     .next()

@@ -368,6 +368,86 @@ fn abrupt_disconnect_mid_line_never_executes_the_torn_request() {
 /// The compensating variant of [`open_req`]: flagged invocations whose
 /// predicted error sits at or below `band` are repaired in place instead
 /// of queued for CPU re-execution.
+/// Absurd `queue`, `window` and `zoo` values cost one in-band error each
+/// (no allocation is sized from them), and the connection goes on to
+/// serve a valid session.
+#[test]
+fn absurd_open_values_are_rejected_in_band() {
+    let server = NetServer::bind_tcp("127.0.0.1:0", 2).unwrap();
+    let mut client = Client::connect(server.addr());
+    let open = "{\"op\":\"open\",\"session\":\"a\",\"kernel\":\"gaussian\",\"seed\":42";
+    for field in ["\"queue\":1000000000000", "\"window\":1000000000000", "\"zoo\":1000000000000"] {
+        let response = client.request(&format!("{open},{field}}}"), "open");
+        assert_eq!(response.len(), 1, "{field}: {response:?}");
+        assert!(response[0].contains("invalid session config"), "{field}: {response:?}");
+    }
+    let ack = client.request(&format!("{open}}}"), "open");
+    assert!(ack[0].starts_with("{\"type\":\"ack\",\"op\":\"open\""), "{ack:?}");
+    let ack = client.request(&invoke_req("a", workload().input(0)), "invoke");
+    assert!(ack[0].starts_with("{\"type\":\"ack\",\"op\":\"invoke\""), "{ack:?}");
+    let drained = client.request("{\"op\":\"drain\",\"session\":\"a\"}", "drain");
+    assert!(drained[0].starts_with("{\"type\":\"result\""), "{drained:?}");
+    client.request("{\"op\":\"shutdown\"}", "shutdown");
+    drop(client);
+    server.join().unwrap();
+}
+
+/// The shards of one server share one prepared store, so a session
+/// restored on the other shard reuses what its source's open prepared —
+/// zoo ladder, bar and ceiling included — and still continues the
+/// uninterrupted stream byte for byte.
+#[test]
+fn cross_shard_restore_through_the_shared_store_is_bitwise() {
+    let old = "alice";
+    let new = ["bob", "carol", "dave", "erin"]
+        .into_iter()
+        .find(|n| shard_of(n, 2) != shard_of(old, 2))
+        .expect("some candidate hashes to the other shard");
+    let open = |name: &str| {
+        open_compensate_req(name, 0.3).replacen("}", ",\"zoo\":2}", 1).replacen(
+            "\"watchdog\":true,",
+            "",
+            1,
+        )
+    };
+    let data = workload();
+    let mut head: Vec<(String, &str)> = vec![(open(old), "open")];
+    for k in 0..10 {
+        head.push((invoke_req(old, data.input((k * 7) % data.len())), "invoke"));
+    }
+    let mut rt = ServeRuntime::new();
+    replay(&mut rt, &head);
+    let expected = replay(&mut rt, &continuation_script(old));
+
+    let server = NetServer::bind_tcp("127.0.0.1:0", 2).unwrap();
+    let mut client = Client::connect(server.addr());
+    for (line, op) in &head {
+        let response = client.request(line, op);
+        assert!(!response[0].starts_with("{\"type\":\"error\""), "{response:?}");
+    }
+    let snap =
+        client.request(&format!("{{\"op\":\"snapshot\",\"session\":\"{old}\"}}"), "snapshot");
+    let state = parse_object(&snap[0]).unwrap().string("state").expect("state").to_owned();
+    assert!(state.contains(" zoo=2") && state.contains(" fix=comp:"), "{state}");
+    let mut w = JsonWriter::object("request");
+    w.string("op", "restore").string("session", new).string("state", &state);
+    let ack = client.request(&w.finish().replacen("\"type\":\"request\",", "", 1), "restore");
+    assert!(ack[0].starts_with("{\"type\":\"ack\",\"op\":\"restore\""), "{ack:?}");
+    let mut migrated = Vec::new();
+    for (line, op) in &continuation_script(new) {
+        migrated.extend(client.request(line, op));
+    }
+    client.request("{\"op\":\"shutdown\"}", "shutdown");
+    drop(client);
+    server.join().unwrap();
+
+    let renamed: Vec<String> = migrated
+        .iter()
+        .map(|l| l.replace(&format!("\"session\":\"{new}\""), &format!("\"session\":\"{old}\"")))
+        .collect();
+    assert_eq!(renamed, expected, "cross-shard restore diverged from the uninterrupted run");
+}
+
 fn open_compensate_req(name: &str, band: f64) -> String {
     open_req(name).replacen(
         "\"watchdog\":true}",

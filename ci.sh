@@ -122,6 +122,13 @@ if ! echo "$churn" | grep -q '"correct":true'; then
 fi
 echo "    perfbench tests green; churn smoke correct"
 
+echo "==> core runtime: rumba-core suites at 1 and 4 threads"
+# The run loop, the per-row replay and the routed batch compute live in
+# rumba-core; batch runs must equal streaming at any worker count.
+RUMBA_THREADS=1 cargo test -q -p rumba-core >/dev/null
+RUMBA_THREADS=4 cargo test -q -p rumba-core >/dev/null
+echo "    rumba-core suites green at RUMBA_THREADS=1 and 4"
+
 echo "==> serving layer: isolation + backpressure suites at 1 and 4 threads"
 # The multiplexed scheduler's determinism contract is thread-count
 # independence; the same suites must pass serial and parallel.

@@ -7,7 +7,7 @@ use rumba_accel::{CheckerUnit, Npu, Placement};
 use rumba_apps::Kernel;
 use rumba_energy::SchemeActivity;
 use rumba_faults::{FaultKind, FaultPlan, FaultStats};
-use rumba_nn::{Matrix, MatrixView, NnDataset, Scratch};
+use rumba_nn::{Matrix, MatrixView, NnDataset, NnError, Scratch};
 
 use crate::openworld::{Reservoir, ReservoirRow};
 use crate::pipeline::{simulate, PipelineRun};
@@ -198,6 +198,9 @@ pub struct StreamOutcome {
     pub compensated: bool,
     /// The checker's predicted error for this invocation.
     pub predicted_error: f64,
+    /// Whether the zoo routed the invocation to exact CPU execution (no
+    /// accelerator, no checker; never set without a zoo).
+    pub cpu_routed: bool,
 }
 
 impl RunOutcome {
@@ -641,7 +644,7 @@ impl RumbaSystem {
     /// Restores streaming state exported by [`RumbaSystem::export_state`]
     /// onto an identically configured system (same kernel, checker kind,
     /// tuning mode, window, and queue configuration). The tuner is rebuilt
-    /// at the exported threshold, so the next `process_approx` behaves
+    /// at the exported threshold, so the next `process_routed` behaves
     /// exactly as it would have on the exporting system.
     ///
     /// # Errors
@@ -833,9 +836,10 @@ impl RumbaSystem {
         }
     }
 
-    /// Processes one invocation in streaming mode: runs the accelerator and
-    /// the checker, re-executes exactly on a fired check, writes the merged
-    /// result into `output`, and advances the tuning window.
+    /// Processes one invocation in streaming mode: routes it, runs the
+    /// accelerator and the checker, re-executes exactly on a fired check,
+    /// writes the merged result into `output`, and advances the tuning
+    /// window.
     ///
     /// Call [`RumbaSystem::begin_stream`] before the first invocation of a
     /// stream. Use this interface to slot the managed accelerator into a
@@ -854,90 +858,43 @@ impl RumbaSystem {
         input: &[f64],
         output: &mut [f64],
     ) -> Result<StreamOutcome> {
-        if self.zoo_state.is_some() {
-            let bar = self.routing_bar().expect("zoo attached");
-            let zs = self.zoo_state.as_ref().expect("zoo attached");
-            let tier = zs.zoo.route(input, bar);
-            let approx = if tier == zs.zoo.cpu_tier() {
-                None
-            } else {
-                Some(zs.zoo.tier(tier).npu.invoke_at(self.stream_invocations, input)?.outputs)
-            };
-            return self.process_routed(kernel, input, tier, approx.as_deref(), output);
-        }
-        // The stream index keys the fault decisions, so a streaming run is
-        // corrupted bit-identically to a batched `run` over the same rows.
-        let result = self.npu.invoke_at(self.stream_invocations, input)?;
-        self.process_approx(kernel, input, &result.outputs, output)
+        // The same route → invoke → replay path as `run`, one row at a
+        // time. The stream index keys the fault decisions, so a streaming
+        // run is corrupted bit-identically to a batched `run` over the
+        // same rows; the exact-CPU tier has no accelerator to invoke.
+        let route = self.route_rows(MatrixView::new(input, 1, input.len())).map(|r| r[0]);
+        let npu = route.map_or(Some(&self.npu), |tier| {
+            self.zoo().and_then(|zoo| zoo.tiers().get(tier)).map(|t| &t.npu)
+        });
+        let approx = match npu {
+            Some(npu) => npu.invoke_at(self.stream_invocations, input)?.outputs,
+            None => Vec::new(),
+        };
+        self.process_routed(kernel, input, route, &approx, output)
     }
 
-    /// The routed half of a zoo-armed [`RumbaSystem::process`]: accounts
-    /// the tier decision, then either replays the normal checked path on
-    /// the tier's approximate output, or — for the exact-CPU tier
-    /// (`approx_output == None`) — computes the row exactly with no
-    /// checker involvement (scheduled exact execution is not recovery: it
-    /// consumes no re-execution budget and contributes nothing to the
-    /// tuner's unfixed-prediction mass).
+    /// The stateful half of [`RumbaSystem::process`], taking the row's
+    /// routing decision and its already-computed approximate output — the
+    /// serial replay every execution path shares. [`RumbaSystem::run`]
+    /// and the serving drain route a batch ([`RumbaSystem::route_rows`]),
+    /// compute it in one pure [`invoke_routed`] call, and replay its rows
+    /// here in arrival order, which keeps the checker/tuner state
+    /// evolution — and therefore the output — identical to streaming.
     ///
-    /// The serving scheduler calls this directly with tier decisions and
-    /// per-tier sub-batch outputs computed at drain time; `tier` must be
-    /// the decision [`ModelZoo::route`] makes for this row under the bar
-    /// in force when the row was dispatched.
+    /// `route` is the row's tier decision, or `None` without a zoo (the
+    /// row ran on this system's own accelerator). A row routed to the
+    /// exact-CPU tier ignores `approx_row` and is computed exactly with
+    /// no checker involvement: scheduled exact execution is not recovery,
+    /// so it consumes no re-execution budget and contributes nothing to
+    /// the tuner's unfixed-prediction mass. Every other row replays the
+    /// checked path on `approx_row`.
     ///
-    /// # Errors
-    ///
-    /// Mirrors [`RumbaSystem::process_approx`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if no zoo is attached, the tier index is out of range, or
-    /// `output` is narrower than the kernel's output width.
-    pub fn process_routed(
-        &mut self,
-        kernel: &dyn Kernel,
-        input: &[f64],
-        tier: usize,
-        approx_output: Option<&[f64]>,
-        output: &mut [f64],
-    ) -> Result<StreamOutcome> {
-        {
-            let zs = self.zoo_state.as_mut().expect("process_routed requires an attached zoo");
-            zs.window_tiers[tier] += 1;
-            zs.stream_tiers[tier] += 1;
-            if tier < zs.zoo.len() {
-                zs.tier_cycles_total += zs.zoo.tier_cycles(tier) as f64;
-            }
-        }
-        match approx_output {
-            Some(approx) => self.process_approx(kernel, input, approx, output),
-            None => {
-                kernel.compute(input, output);
-                let (cpu_capacity, capacity_clamped) = self.cpu_capacity_per_window(kernel);
-                self.window_len += 1;
-                self.stream_invocations += 1;
-                if self.window_len == self.config.window {
-                    self.flush_window(kernel, cpu_capacity, capacity_clamped);
-                }
-                Ok(StreamOutcome { fired: false, compensated: false, predicted_error: 0.0 })
-            }
-        }
-    }
-
-    /// The stateful half of [`RumbaSystem::process`], taking an already-
-    /// computed approximate output row. [`RumbaSystem::run`] precomputes
-    /// the pure accelerator outputs in one batched invocation and replays
-    /// this decision path serially over the rows, which keeps the
-    /// checker/tuner state evolution — and therefore the output —
-    /// identical to streaming. The serving scheduler uses the same split:
-    /// it batches many sessions' pending requests through shared
-    /// [`Npu::invoke_batch_at`] calls and replays each session's rows
-    /// serially here, so multiplexed outputs are bit-identical to running
-    /// each session alone.
-    ///
-    /// `approx_output` must be the accelerator's output for stream
-    /// position [`RumbaSystem::stream_invocations`] (i.e. rows are
-    /// replayed in arrival order with no gaps), or fault attribution and
-    /// the determinism contract break.
+    /// Rows must be replayed in stream order with no gaps: `approx_row`
+    /// is the accelerator's output for stream position
+    /// [`RumbaSystem::stream_invocations`], and `route` the decision
+    /// [`RumbaSystem::route_rows`] made for the row under the bar in force
+    /// when it was dispatched, or fault attribution and the determinism
+    /// contract break.
     ///
     /// # Errors
     ///
@@ -946,22 +903,42 @@ impl RumbaSystem {
     ///
     /// # Panics
     ///
-    /// Panics if `output` is narrower than the kernel's output width.
-    pub fn process_approx(
+    /// Panics if a route is given without an attached zoo, the tier index
+    /// is out of range, or `output` is narrower than the kernel's output
+    /// width.
+    pub fn process_routed(
         &mut self,
         kernel: &dyn Kernel,
         input: &[f64],
-        approx_output: &[f64],
+        route: Option<usize>,
+        approx_row: &[f64],
         output: &mut [f64],
     ) -> Result<StreamOutcome> {
         let invocation = self.stream_invocations;
         let (cpu_capacity_per_window, capacity_clamped) = self.cpu_capacity_per_window(kernel);
 
+        if let Some(tier) = route {
+            let zs = self.zoo_state.as_mut().expect("a routed row requires an attached zoo");
+            zs.window_tiers[tier] += 1;
+            zs.stream_tiers[tier] += 1;
+            if tier == zs.zoo.cpu_tier() {
+                kernel.compute(input, output);
+                self.end_row(kernel, cpu_capacity_per_window, capacity_clamped);
+                return Ok(StreamOutcome {
+                    fired: false,
+                    compensated: false,
+                    predicted_error: 0.0,
+                    cpu_routed: true,
+                });
+            }
+            zs.tier_cycles_total += zs.zoo.tier_cycles(tier) as f64;
+        }
+
         // Non-finite screen, *before* the checker runs: a NaN/Inf row must
         // never reach the checker state, the tuner mean, or the merged
         // stream. Quarantine forces an exact CPU re-execution outside the
         // re-execution budget (correctness is not negotiable on overflow).
-        let quarantined = !approx_output.iter().all(|v| v.is_finite());
+        let quarantined = !approx_row.iter().all(|v| v.is_finite());
         // Past the fallback rung of the ladder, the accelerator is
         // abandoned entirely.
         let cpu_forced = quarantined || self.stage == DegradeStage::CpuFallback;
@@ -975,7 +952,7 @@ impl RumbaSystem {
             }
             (true, false, f64::INFINITY)
         } else {
-            let mut predicted = self.checker.predict(input, approx_output);
+            let mut predicted = self.checker.predict(input, approx_row);
             let blinded =
                 self.fault_plan.as_ref().is_some_and(|plan| plan.blind_checker(invocation));
             if blinded {
@@ -1004,9 +981,9 @@ impl RumbaSystem {
                 // re-execution budget, and takes no recovery-queue slot.
                 // The paired `predict` call above already advanced any
                 // online checker state; `predict_signed` is pure.
-                let signed = self.checker.predict_signed(input, approx_output, predicted);
+                let signed = self.checker.predict_signed(input, approx_row, predicted);
                 let signed = if signed.is_finite() { signed } else { 0.0 };
-                for (out, &approx) in output[..approx_output.len()].iter_mut().zip(approx_output) {
+                for (out, &approx) in output[..approx_row.len()].iter_mut().zip(approx_row) {
                     *out = approx - signed;
                 }
                 self.window_compensated += 1;
@@ -1017,29 +994,60 @@ impl RumbaSystem {
                     // is spent (§3.4's hard cap) — telemetry only.
                     self.window_suppressed += 1;
                 }
-                output[..approx_output.len()].copy_from_slice(approx_output);
+                output[..approx_row.len()].copy_from_slice(approx_row);
                 self.window_pred_sum += predicted;
             }
             (fired, compensable, predicted)
         };
 
-        self.capture_refit_row(
-            kernel,
-            invocation,
-            input,
-            approx_output,
-            output,
-            quarantined,
-            fired,
-        );
-        self.note_faults(invocation, approx_output.len(), quarantined, fired);
+        self.capture_refit_row(kernel, invocation, input, approx_row, output, quarantined, fired);
+        self.note_faults(invocation, approx_row.len(), quarantined, fired);
+        self.end_row(kernel, cpu_capacity_per_window, capacity_clamped);
+        Ok(StreamOutcome { fired, compensated, predicted_error: predicted, cpu_routed: false })
+    }
+
+    /// [`RumbaSystem::process_routed`] for a system without a zoo: replays
+    /// the checked path on an already-computed approximate output row.
+    ///
+    /// # Errors
+    ///
+    /// Mirrors [`RumbaSystem::process_routed`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `output` is narrower than the kernel's output width.
+    pub fn process_approx(
+        &mut self,
+        kernel: &dyn Kernel,
+        input: &[f64],
+        approx_output: &[f64],
+        output: &mut [f64],
+    ) -> Result<StreamOutcome> {
+        self.process_routed(kernel, input, None, approx_output, output)
+    }
+
+    /// Advances the stream past one replayed row, flushing the tuning
+    /// window when it fills.
+    fn end_row(&mut self, kernel: &dyn Kernel, cpu_capacity: usize, capacity_clamped: bool) {
         self.window_len += 1;
         self.stream_invocations += 1;
-
         if self.window_len == self.config.window {
-            self.flush_window(kernel, cpu_capacity_per_window, capacity_clamped);
+            self.flush_window(kernel, cpu_capacity, capacity_clamped);
         }
-        Ok(StreamOutcome { fired, compensated, predicted_error: predicted })
+    }
+
+    /// Routes a batch of upcoming stream rows at the current routing bar:
+    /// per row, the tier [`ModelZoo::route`] picks. This is the single
+    /// place a batch is routed — `run`, `process` and the serving drain
+    /// all call it — and it must be called where the bar is constant
+    /// across the batch (the bar moves only at window flushes and
+    /// pressure changes). `None` without a zoo: every row then runs on
+    /// this system's own accelerator.
+    #[must_use]
+    pub fn route_rows(&self, inputs: MatrixView<'_>) -> Option<Vec<usize>> {
+        let bar = self.routing_bar()?;
+        let zoo = self.zoo()?;
+        Some((0..inputs.rows()).map(|r| zoo.route(inputs.row(r), bar)).collect())
     }
 
     /// The armed refit's ground-truth capture for one processed row:
@@ -1122,7 +1130,7 @@ impl RumbaSystem {
         if injected > 0 {
             self.fault_stats.injected_outputs += injected as u64;
             if quarantined {
-                // Counted once per quarantined invocation in `process_result`.
+                // Counted once per quarantined invocation in `process_routed`.
             } else if fired {
                 self.fault_stats.detected += 1;
             } else {
@@ -1419,9 +1427,6 @@ impl RumbaSystem {
         if data.is_empty() {
             return Err(RumbaError::EmptyWorkload);
         }
-        if self.zoo_state.is_some() {
-            return self.run_zoo(kernel, data);
-        }
         let _span = rumba_obs::span("core.run");
         let n = data.len();
         let out_dim = self.npu.output_dim();
@@ -1431,51 +1436,71 @@ impl RumbaSystem {
         let (cpu_capacity_per_window, capacity_clamped) = self.cpu_capacity_per_window(kernel);
 
         self.begin_stream();
-        // The accelerator is pure, so its outputs for the whole stream are
-        // precomputed as one cache-blocked batched invocation (rows fan
-        // out over the deterministic pool); the stateful decision loop
-        // below (checker history, tuner, recovery queue) then replays
-        // serially over the rows, which keeps every decision — and the
-        // merged stream — bit-identical to streaming the invocations one
-        // at a time.
+        // The accelerator is pure, so a chunk's outputs are precomputed in
+        // one batched invocation (rows fan out over the deterministic
+        // pool); the stateful decision loop (checker history, tuner,
+        // recovery queue) then replays serially over the rows, which keeps
+        // every decision — and the merged stream — bit-identical to
+        // streaming the invocations one at a time. A chunk ends where the
+        // routing bar can next move: at each window flush with a zoo
+        // attached, at the end of the stream without one.
+        let chunk = self.zoo().map_or(n, |_| self.config.window);
         let mut scratch = Scratch::new();
         let mut approx = Matrix::default();
-        self.npu.invoke_batch(data.inputs_view(), &mut scratch, &mut approx)?;
-
         let mut recovery_queue: Fifo<RecoveryBit> = Fifo::new(self.config.recovery_queue_capacity);
         let mut merged = Vec::with_capacity(n * out_dim);
         let mut fired = vec![false; n];
-        let mut fixes = 0usize;
+        // Rows the CPU executes exactly — checker-fired recoveries plus
+        // rows routed to the exact tier; this is what the pipeline overlap
+        // and the energy model's re-execution stream must see.
+        let mut cpu_rows = vec![false; n];
+        let (mut fixes, mut cpu_routed) = (0usize, 0usize);
         let mut out_buf = vec![0.0; out_dim];
 
-        for (i, fired_flag) in fired.iter_mut().enumerate() {
-            let outcome =
-                self.process_approx(kernel, data.input(i), approx.row(i), &mut out_buf)?;
-            if outcome.fired {
-                // Model the recovery queue the CPU drains: the recovery bit
-                // flows through the bounded FIFO (timing cost is accounted
-                // by the pipeline simulation below). A queue-pressure fault
-                // model shrinks the effective capacity with phantom-occupied
-                // slots, forcing earlier back-pressure.
-                let pressure = self.fault_plan.as_ref().map_or(0, |plan| plan.queue_pressure(i));
-                let effective_cap =
-                    self.config.recovery_queue_capacity.saturating_sub(pressure).max(1);
-                let bit = RecoveryBit {
-                    iteration: i,
-                    predicted_error: OrderedF64::new(outcome.predicted_error),
-                };
-                while recovery_queue.len() >= effective_cap {
-                    // Queue full: drain (CPU consumes in FIFO order) before
-                    // enqueueing — models back-pressure without deadlock.
-                    let _ = recovery_queue.pop();
+        let mut start = 0;
+        while start < n {
+            let end = (start + chunk).min(n);
+            let inputs = data.inputs_view().rows_range(start, end);
+            let routes = self.route_rows(inputs);
+            let routes = routes.as_deref();
+            invoke_routed(&self.npu, self.zoo(), start, inputs, routes, &mut scratch, &mut approx)?;
+            for r in 0..end - start {
+                let i = start + r;
+                let route = routes.map(|routes| routes[r]);
+                let outcome =
+                    self.process_routed(kernel, inputs.row(r), route, approx.row(r), &mut out_buf)?;
+                cpu_rows[i] = outcome.fired || outcome.cpu_routed;
+                cpu_routed += usize::from(outcome.cpu_routed);
+                if outcome.fired {
+                    // Model the recovery queue the CPU drains: the recovery
+                    // bit flows through the bounded FIFO (timing cost is
+                    // accounted by the pipeline simulation below). A
+                    // queue-pressure fault model shrinks the effective
+                    // capacity with phantom-occupied slots, forcing earlier
+                    // back-pressure.
+                    let pressure =
+                        self.fault_plan.as_ref().map_or(0, |plan| plan.queue_pressure(i));
+                    let effective_cap =
+                        self.config.recovery_queue_capacity.saturating_sub(pressure).max(1);
+                    let bit = RecoveryBit {
+                        iteration: i,
+                        predicted_error: OrderedF64::new(outcome.predicted_error),
+                    };
+                    while recovery_queue.len() >= effective_cap {
+                        // Queue full: drain (CPU consumes in FIFO order)
+                        // before enqueueing — models back-pressure without
+                        // deadlock.
+                        let _ = recovery_queue.pop();
+                    }
+                    recovery_queue.push(bit).expect("drained below capacity");
+                    self.note_queue_depth(recovery_queue.len() + pressure);
+                    let _ = recovery_queue.pop().expect("just pushed");
+                    fired[i] = true;
+                    fixes += 1;
                 }
-                recovery_queue.push(bit).expect("drained below capacity");
-                self.note_queue_depth(recovery_queue.len() + pressure);
-                let _ = recovery_queue.pop().expect("just pushed");
-                *fired_flag = true;
-                fixes += 1;
+                merged.extend_from_slice(&out_buf);
             }
-            merged.extend_from_slice(&out_buf);
+            start = end;
         }
         // Flush the final partial window.
         self.flush_window(kernel, cpu_capacity_per_window, capacity_clamped);
@@ -1494,155 +1519,7 @@ impl RumbaSystem {
             }
             _ => 0.0,
         };
-        let pipeline = simulate(n, npu_cycles, cpu_cycles, &fired);
-        if rumba_obs::enabled() {
-            rumba_obs::global_sink().emit(&rumba_obs::Event::RunSummary {
-                kernel: kernel.name().to_owned(),
-                invocations: n as u64,
-                fixes: fixes as u64,
-                compensated: self.stream_compensations as u64,
-                output_error,
-                windows: self.windows_flushed,
-                cpu_utilization: pipeline.cpu_utilization,
-                final_threshold: self.tuner.threshold(),
-                tiers: Vec::new(),
-                session: self.session_label.clone(),
-            });
-        }
-        let activity = SchemeActivity {
-            accelerator_invocations: n,
-            npu_cycles_per_invocation: self.npu.cycles_per_invocation(),
-            io_words_per_invocation: self.npu.input_dim() + self.npu.output_dim(),
-            checker_invocations: n,
-            checker_cost: self.checker.cost(),
-            reexecutions: fixes,
-            compensations: self.stream_compensations,
-            serial_detector_cycles,
-            tiered_accelerator_cycles: 0.0,
-        };
-
-        Ok(RunOutcome {
-            merged_outputs: merged,
-            fired,
-            fixes,
-            compensated: self.stream_compensations,
-            output_error,
-            invocation_errors,
-            activity,
-            pipeline,
-            threshold_history: self.tuner.history().to_vec(),
-            quarantined: self.fault_stats.quarantined as usize,
-            fault_stats: self.fault_stats,
-            degrade_stage: self.stage,
-        })
-    }
-
-    /// The zoo-armed batch path. Work proceeds in window-aligned chunks:
-    /// within a chunk the routing bar is constant (the tuner's tier scale
-    /// only moves at window flushes), so every row's tier is a pure
-    /// function of its input and the chunk's bar — identical to streaming
-    /// the rows one at a time. Per chunk, rows are grouped into per-tier
-    /// sub-batches and gathered through [`Npu::invoke_rows_at`], so the
-    /// SIMD/flat-matrix batch paths still run and still produce the exact
-    /// bits of per-row invocations; the stateful decision loop then
-    /// replays serially in row order, exactly like [`RumbaSystem::run`].
-    fn run_zoo(&mut self, kernel: &dyn Kernel, data: &NnDataset) -> Result<RunOutcome> {
-        let _span = rumba_obs::span("core.run_zoo");
-        let n = data.len();
-        let out_dim = self.npu.output_dim();
-        let in_dim = self.npu.input_dim();
-        let metric = kernel.metric();
-        let cpu_cycles = kernel.cpu_cycles();
-        let npu_cycles = self.npu.cycles_per_invocation() as f64;
-        let (cpu_capacity_per_window, capacity_clamped) = self.cpu_capacity_per_window(kernel);
-
-        self.begin_stream();
-        let window = self.config.window;
-        let mut recovery_queue: Fifo<RecoveryBit> = Fifo::new(self.config.recovery_queue_capacity);
-        let mut merged = Vec::with_capacity(n * out_dim);
-        let mut fired = vec![false; n];
-        // Rows the CPU executes exactly — checker-fired recoveries plus
-        // rows routed to the exact tier; this is what the pipeline overlap
-        // and the energy model's re-execution stream must see.
-        let mut cpu_rows = vec![false; n];
-        let mut fixes = 0usize;
-        let mut out_buf = vec![0.0; out_dim];
-        let mut scratch = Scratch::new();
-        let mut tier_out = Matrix::default();
-
-        let mut start = 0usize;
-        while start < n {
-            let end = (start + window).min(n);
-            let bar = self.routing_bar().expect("zoo attached");
-            let zs = self.zoo_state.as_ref().expect("zoo attached");
-            let routes: Vec<usize> =
-                (start..end).map(|i| zs.zoo.route(data.input(i), bar)).collect();
-            let mut approx_rows: Vec<Option<Vec<f64>>> = vec![None; end - start];
-            for t in 0..zs.zoo.len() {
-                let positions: Vec<usize> =
-                    (start..end).filter(|&i| routes[i - start] == t).collect();
-                if positions.is_empty() {
-                    continue;
-                }
-                let mut flat = Vec::with_capacity(positions.len() * in_dim);
-                for &i in &positions {
-                    flat.extend_from_slice(data.input(i));
-                }
-                let view = MatrixView::new(&flat, positions.len(), in_dim);
-                zs.zoo.tier(t).npu.invoke_rows_at(&positions, view, &mut scratch, &mut tier_out)?;
-                for (r, &i) in positions.iter().enumerate() {
-                    approx_rows[i - start] = Some(tier_out.row(r).to_vec());
-                }
-            }
-            for i in start..end {
-                let tier = routes[i - start];
-                let approx = approx_rows[i - start].as_deref();
-                if approx.is_none() {
-                    cpu_rows[i] = true;
-                }
-                let outcome =
-                    self.process_routed(kernel, data.input(i), tier, approx, &mut out_buf)?;
-                if outcome.fired {
-                    let pressure =
-                        self.fault_plan.as_ref().map_or(0, |plan| plan.queue_pressure(i));
-                    let effective_cap =
-                        self.config.recovery_queue_capacity.saturating_sub(pressure).max(1);
-                    let bit = RecoveryBit {
-                        iteration: i,
-                        predicted_error: OrderedF64::new(outcome.predicted_error),
-                    };
-                    while recovery_queue.len() >= effective_cap {
-                        let _ = recovery_queue.pop();
-                    }
-                    recovery_queue.push(bit).expect("drained below capacity");
-                    self.note_queue_depth(recovery_queue.len() + pressure);
-                    let _ = recovery_queue.pop().expect("just pushed");
-                    fired[i] = true;
-                    cpu_rows[i] = true;
-                    fixes += 1;
-                }
-                merged.extend_from_slice(&out_buf);
-            }
-            start = end;
-        }
-        self.flush_window(kernel, cpu_capacity_per_window, capacity_clamped);
-
-        let merged_ref = &merged;
-        let invocation_errors: Vec<f64> = rumba_parallel::par_map_range(n, |i| {
-            metric.invocation_error(data.target(i), &merged_ref[i * out_dim..(i + 1) * out_dim])
-        });
-        let output_error = invocation_errors.iter().sum::<f64>() / n as f64;
-
-        let serial_detector_cycles = match (self.config.placement, self.checker.is_input_based()) {
-            (Placement::BeforeAccelerator, true) => {
-                n as f64 * self.checker.cycles_per_prediction() as f64
-            }
-            _ => 0.0,
-        };
         let pipeline = simulate(n, npu_cycles, cpu_cycles, &cpu_rows);
-        let zs = self.zoo_state.as_ref().expect("zoo attached");
-        let cpu_routed = *zs.stream_tiers.last().expect("tier counts non-empty") as usize;
-        let model_rows = n - cpu_routed;
         if rumba_obs::enabled() {
             rumba_obs::global_sink().emit(&rumba_obs::Event::RunSummary {
                 kernel: kernel.name().to_owned(),
@@ -1653,13 +1530,15 @@ impl RumbaSystem {
                 windows: self.windows_flushed,
                 cpu_utilization: pipeline.cpu_utilization,
                 final_threshold: self.tuner.threshold(),
-                tiers: zs.stream_tiers.clone(),
+                tiers: self.stream_tiers().to_vec(),
                 session: self.session_label.clone(),
             });
         }
         // Exact-tier rows cost the CPU what a re-execution costs, but only
         // model-tier rows touch the accelerator, its I/O, or the checker;
-        // the accelerator stream's cycle total is the routed per-tier sum.
+        // with a zoo, the accelerator stream's cycle total is the routed
+        // per-tier sum.
+        let model_rows = n - cpu_routed;
         let activity = SchemeActivity {
             accelerator_invocations: model_rows,
             npu_cycles_per_invocation: self.npu.cycles_per_invocation(),
@@ -1669,7 +1548,10 @@ impl RumbaSystem {
             reexecutions: fixes + cpu_routed,
             compensations: self.stream_compensations,
             serial_detector_cycles,
-            tiered_accelerator_cycles: zs.tier_cycles_total,
+            tiered_accelerator_cycles: self
+                .zoo_state
+                .as_ref()
+                .map_or(0.0, |zs| zs.tier_cycles_total),
         };
 
         Ok(RunOutcome {
@@ -1687,6 +1569,61 @@ impl RumbaSystem {
             degrade_stage: self.stage,
         })
     }
+}
+
+/// Pure accelerator compute for stream rows `base..base + inputs.rows()`
+/// along their routing decisions (from [`RumbaSystem::route_rows`]) — the
+/// invoke step of the route → invoke → replay path that
+/// [`RumbaSystem::run`] and the serving drain share. Free-standing rather
+/// than a method so a parallel scheduler can run it from `&Npu` /
+/// `&ModelZoo` alone.
+///
+/// Without routes the batch runs through [`Npu::invoke_batch_at`]. A
+/// routed batch is grouped into per-tier sub-batches so each tier's
+/// SIMD/flat-matrix path still runs over contiguous gathered rows, each
+/// at its own stream position ([`Npu::invoke_rows_at`]); rows routed to
+/// the exact-CPU tier are left zeroed (the serial replay computes them
+/// exactly). Either way, row `r` of `out` is bitwise its accelerator's
+/// `invoke_at(base + r)`.
+///
+/// # Errors
+///
+/// Propagates accelerator dimension errors.
+pub fn invoke_routed(
+    npu: &Npu,
+    zoo: Option<&ModelZoo>,
+    base: usize,
+    inputs: MatrixView<'_>,
+    routes: Option<&[usize]>,
+    scratch: &mut Scratch,
+    out: &mut Matrix,
+) -> std::result::Result<(), NnError> {
+    let (Some(routes), Some(zoo)) = (routes, zoo) else {
+        npu.invoke_batch_at(base, inputs, scratch, out)?;
+        return Ok(());
+    };
+    out.resize(inputs.rows(), npu.output_dim());
+    out.as_mut_slice().fill(0.0);
+    let mut gathered = Vec::new();
+    let mut positions = Vec::new();
+    let mut tier_out = Matrix::default();
+    for t in 0..zoo.len() {
+        gathered.clear();
+        positions.clear();
+        for (r, _) in routes.iter().enumerate().filter(|&(_, &route)| route == t) {
+            gathered.extend_from_slice(inputs.row(r));
+            positions.push(base + r);
+        }
+        if positions.is_empty() {
+            continue;
+        }
+        let view = MatrixView::new(&gathered, positions.len(), inputs.cols());
+        zoo.tier(t).npu.invoke_rows_at(&positions, view, scratch, &mut tier_out)?;
+        for (g, &position) in positions.iter().enumerate() {
+            out.row_mut(position - base).copy_from_slice(tier_out.row(g));
+        }
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -1833,30 +1770,189 @@ mod tests {
         assert!((whole[0] - 4.0).abs() < 1e-12);
     }
 
+    /// What one stream produced, on the fields batch `run` and a
+    /// `process` loop must agree on (floats as bits).
+    #[derive(Debug, Clone, PartialEq)]
+    struct StreamTrace {
+        merged: Vec<u64>,
+        fired: Vec<bool>,
+        fixes: usize,
+        compensated: usize,
+        cpu_routed: usize,
+        tiers: Vec<u64>,
+        thresholds: Vec<u64>,
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
     #[test]
     fn streaming_matches_batch_run() {
-        // `run` is built on `process`; an external streaming loop must
-        // reproduce it exactly.
-        let (kernel, mut batch_system, test) =
-            build_system(TuningMode::TargetQuality { toq: 0.95 });
-        let batch = batch_system.run(kernel.as_ref(), &test).unwrap();
+        // Batch `run` and an external `process` loop take the same route →
+        // invoke → replay path, so they must agree bit for bit — with no
+        // zoo, a zoo of one and a zoo of three, whether or not the window
+        // divides the stream.
+        use crate::cache::TrainedModelCache;
+        use crate::zoo::train_zoo_with_cache;
 
-        let (_, mut stream_system, _) = build_system(TuningMode::TargetQuality { toq: 0.95 });
-        stream_system.begin_stream();
-        let out_dim = kernel.output_dim();
-        let mut merged = Vec::with_capacity(test.len() * out_dim);
-        let mut buf = vec![0.0; out_dim];
-        let mut fixes = 0usize;
-        for i in 0..test.len() {
-            let outcome = stream_system.process(kernel.as_ref(), test.input(i), &mut buf).unwrap();
-            if outcome.fired {
-                fixes += 1;
+        let kernel = kernel_by_name("gaussian").unwrap();
+        let cfg = OfflineConfig::default();
+        let app = train_app(kernel.as_ref(), &cfg).unwrap();
+        let threshold = {
+            let (_, system, _) = build_system(TuningMode::TargetQuality { toq: 0.95 });
+            system.initial_threshold
+        };
+        let test = kernel.generate(Split::Test, 42);
+        let n = test.len();
+        let zoo = |tiers| {
+            train_zoo_with_cache(kernel.as_ref(), &app, &cfg, tiers, &TrainedModelCache::disabled())
+                .unwrap()
+        };
+        let (zoo1, zoo3) = (zoo(1), zoo(3));
+        let train = kernel.generate(Split::Train, 42);
+        let bar = zoo3.calibrate_bar_on(kernel.as_ref(), &train, 0.05).unwrap();
+        let system = |window, zoo: Option<&ModelZoo>| {
+            let config = RuntimeConfig {
+                window,
+                fix_policy: FixPolicy::Compensate { band: threshold * 1.1 },
+                ..RuntimeConfig::default()
+            };
+            let mut system = RumbaSystem::new(
+                app.rumba_npu.clone(),
+                CheckerUnit::new(Box::new(app.tree.clone())),
+                // A TOQ stricter than the calibration budget lowers the
+                // threshold, and with it the zoo's tier scale, so the
+                // routing bar moves between windows.
+                Tuner::new(TuningMode::TargetQuality { toq: 0.995 }, threshold).unwrap(),
+                config,
+            )
+            .unwrap();
+            if let Some(zoo) = zoo {
+                system.attach_zoo(zoo.clone(), bar).unwrap();
             }
-            merged.extend_from_slice(&buf);
+            system
+        };
+
+        let divides =
+            (2..=64).rev().find(|&w| n.is_multiple_of(w)).expect("the stream has a divisor");
+        let ragged =
+            (33..=64).find(|&w| !n.is_multiple_of(w)).expect("some window leaves a remainder");
+        for window in [divides, ragged] {
+            let mut traces = Vec::new();
+            for zoo in [None, Some(&zoo1), Some(&zoo3)] {
+                let case = format!("window {window}, zoo {:?}", zoo.map(ModelZoo::len));
+                let mut batch = system(window, zoo);
+                let run = batch.run(kernel.as_ref(), &test).unwrap();
+                let batched = StreamTrace {
+                    merged: bits(&run.merged_outputs),
+                    fired: run.fired.clone(),
+                    fixes: run.fixes,
+                    compensated: run.compensated,
+                    cpu_routed: n - run.activity.accelerator_invocations,
+                    tiers: batch.stream_tiers().to_vec(),
+                    thresholds: bits(&run.threshold_history),
+                };
+
+                let mut stream = system(window, zoo);
+                stream.begin_stream();
+                let mut buf = vec![0.0; kernel.output_dim()];
+                let (mut merged, mut fired, mut cpu_routed) = (Vec::new(), Vec::new(), 0);
+                for i in 0..n {
+                    let outcome = stream.process(kernel.as_ref(), test.input(i), &mut buf).unwrap();
+                    fired.push(outcome.fired);
+                    cpu_routed += usize::from(outcome.cpu_routed);
+                    merged.extend_from_slice(&buf);
+                }
+                stream.end_stream(kernel.as_ref());
+                let streamed = StreamTrace {
+                    merged: bits(&merged),
+                    fired,
+                    fixes: stream.stream_fixes(),
+                    compensated: stream.stream_compensations(),
+                    cpu_routed,
+                    tiers: stream.stream_tiers().to_vec(),
+                    thresholds: bits(stream.tuner().history()),
+                };
+                assert_eq!(batched, streamed, "{case}");
+                assert!(batched.fixes > 0 && batched.compensated > 0, "{case}: {batched:?}");
+                if zoo.is_some() {
+                    assert_ne!(batch.routing_bar(), Some(bar), "{case}: the bar never moved");
+                }
+                traces.push(batched);
+            }
+            // A zoo of one routes every row to the system's own
+            // accelerator: the stream is the no-zoo stream, tier counts
+            // aside.
+            let (none, one, three) = (&traces[0], &traces[1], &traces[2]);
+            assert_eq!(one.tiers, [n as u64, 0]);
+            assert_eq!(&StreamTrace { tiers: Vec::new(), ..one.clone() }, none);
+            // The zoo of three really routes: at least two model tiers
+            // and the exact-CPU tier see rows.
+            let cpu = zoo3.cpu_tier();
+            let model_tiers = three.tiers[..cpu].iter().filter(|&&c| c > 0).count();
+            assert!(model_tiers >= 2 && three.tiers[cpu] > 0, "window {window}: {:?}", three.tiers);
+            assert_eq!(three.cpu_routed as u64, three.tiers[cpu]);
         }
-        assert_eq!(merged, batch.merged_outputs);
-        assert_eq!(fixes, batch.fixes);
-        assert_eq!(stream_system.stream_fixes(), batch.fixes);
+    }
+
+    #[test]
+    fn invoke_routed_matches_per_row_invocation() {
+        // Every model-tier row of a routed batch is bitwise its tier's
+        // per-row `invoke_at` at the row's stream position — input drift
+        // and bit flips included — and exact-CPU rows come back zeroed,
+        // even in a dirty reused buffer.
+        use crate::cache::TrainedModelCache;
+        use crate::zoo::train_zoo_with_cache;
+        use rumba_faults::{FaultModel, FaultPlan};
+
+        let kernel = kernel_by_name("gaussian").unwrap();
+        let cfg = OfflineConfig::default();
+        let app = train_app(kernel.as_ref(), &cfg).unwrap();
+        let plan = FaultPlan::new(0x5eed)
+            .with(FaultModel::InputDrift { start: 20, ramp: 8, magnitude: 0.3 })
+            .with(FaultModel::BitFlip { rate: 0.2 });
+        let clean =
+            train_zoo_with_cache(kernel.as_ref(), &app, &cfg, 3, &TrainedModelCache::disabled())
+                .unwrap();
+        let faulty_tiers = clean.tiers().iter().cloned().map(|mut tier| {
+            tier.npu.set_fault_plan(Some(plan.clone()));
+            tier
+        });
+        let zoo = ModelZoo::from_tiers(faulty_tiers.collect()).unwrap();
+        let mut npu = app.rumba_npu;
+        npu.set_fault_plan(Some(plan));
+
+        let test = kernel.generate(Split::Test, 42);
+        let (base, rows) = (17, 48);
+        let inputs = test.inputs_view().rows_range(0, rows);
+        let routes: Vec<usize> = (0..rows).map(|r| (r * 7 + r / 3) % (zoo.len() + 1)).collect();
+        assert!((0..=zoo.cpu_tier()).all(|t| routes.contains(&t)), "{routes:?}");
+
+        let mut scratch = Scratch::new();
+        let mut out = Matrix::zeros(rows, kernel.output_dim());
+        out.as_mut_slice().fill(7.0);
+        invoke_routed(&npu, Some(&zoo), base, inputs, Some(&routes), &mut scratch, &mut out)
+            .unwrap();
+        let mut struck = false;
+        for (r, &route) in routes.iter().enumerate() {
+            if route == zoo.cpu_tier() {
+                assert!(out.row(r).iter().all(|&v| v.to_bits() == 0), "CPU row {r}");
+                continue;
+            }
+            let expect = zoo.tier(route).npu.invoke_at(base + r, inputs.row(r)).unwrap().outputs;
+            assert_eq!(bits(out.row(r)), bits(&expect), "row {r} on tier {route}");
+            let pristine = clean.tier(route).npu.invoke_at(base + r, inputs.row(r)).unwrap();
+            struck |= bits(&pristine.outputs) != bits(&expect);
+        }
+        assert!(struck, "the fault plan must corrupt some routed row");
+
+        // Unrouted, the batch is the system accelerator's offset batch.
+        invoke_routed(&npu, Some(&zoo), base, inputs, None, &mut scratch, &mut out).unwrap();
+        for r in 0..rows {
+            let expect = npu.invoke_at(base + r, inputs.row(r)).unwrap().outputs;
+            assert_eq!(bits(out.row(r)), bits(&expect), "unrouted row {r}");
+        }
     }
 
     #[test]

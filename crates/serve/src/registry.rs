@@ -3,13 +3,12 @@
 use std::sync::Arc;
 
 use rumba_accel::Npu;
+use rumba_core::runtime::invoke_routed;
 use rumba_core::zoo::ModelZoo;
 use rumba_nn::{Matrix, NnError, Scratch};
 
 use crate::prepared::PreparedStore;
-use crate::session::{
-    compute_batch, Admit, PendingBatch, Session, SessionConfig, SessionResult, SessionStats,
-};
+use crate::session::{Admit, PendingBatch, Session, SessionConfig, SessionResult, SessionStats};
 use crate::ServeError;
 
 /// Outcome of [`ServeRuntime::submit`].
@@ -37,14 +36,14 @@ pub enum Submit {
 /// worker count. Two properties make this hold:
 ///
 /// 1. **Offset batch equivalence** — the pure compute phase uses
-///    [`Npu::invoke_batch_at`], whose row `i` reproduces
+///    [`invoke_routed`], whose row `i` reproduces its accelerator's
 ///    `invoke_at(base + i)` bitwise, so batch boundaries (and therefore
 ///    drain timing) cannot change any accelerator output or injected
 ///    fault.
-/// 2. **Serial replay** — the stateful decision path (checker, threshold,
-///    recovery, tuning, telemetry) runs serially in session-open order
-///    via the same `process_approx` path a solo stream uses. Threads only
-///    ever touch the pure phase.
+/// 2. **Serial replay** — the stateful decision path (routing, checker,
+///    threshold, recovery, tuning, telemetry) runs serially in
+///    session-open order via the same `process_routed` path a solo
+///    stream uses. Threads only ever touch the pure phase.
 ///
 /// Sessions take their offline state from the runtime's
 /// [`PreparedStore`]: the first open or restore of a `(kernel, seed)`
@@ -210,18 +209,16 @@ impl ServeRuntime {
         // threads; routed batches carry their per-row tier decisions from
         // phase 1, so workers never make a routing choice.
         let outputs: Vec<Result<Matrix, NnError>> = {
-            let metas: Vec<(&Npu, Option<&ModelZoo>, usize)> = jobs
+            let metas: Vec<(&Npu, Option<&ModelZoo>)> = jobs
                 .iter()
-                .map(|(i, _)| {
-                    let s = &self.sessions[*i];
-                    (s.npu(), s.zoo(), s.input_dim())
-                })
+                .map(|(i, _)| (self.sessions[*i].npu(), self.sessions[*i].zoo()))
                 .collect();
             rumba_parallel::par_map_indexed(&jobs, |j, (_, batch)| {
-                let (npu, zoo, input_dim) = metas[j];
-                let mut scratch = Scratch::new();
-                let mut out = Matrix::default();
-                compute_batch(npu, zoo, input_dim, batch, &mut scratch, &mut out).map(|()| out)
+                let (npu, zoo) = metas[j];
+                let (mut scratch, mut out) = (Scratch::new(), Matrix::default());
+                let (inputs, routes) = (batch.inputs.view(), batch.routes.as_deref());
+                invoke_routed(npu, zoo, batch.base, inputs, routes, &mut scratch, &mut out)
+                    .map(|()| out)
             })
         };
 

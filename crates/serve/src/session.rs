@@ -6,13 +6,14 @@ use std::collections::VecDeque;
 use rumba_accel::{CheckerUnit, Npu};
 use rumba_apps::{kernel_by_name, Kernel};
 use rumba_core::event_sim::{simulate_detailed_with_faults, QueueConfig};
-use rumba_core::runtime::MAX_ZOO_PRESSURE;
-use rumba_core::runtime::{FixPolicy, RefitConfig, RumbaSystem, RuntimeConfig, WatchdogConfig};
+use rumba_core::runtime::{
+    invoke_routed, FixPolicy, RefitConfig, RumbaSystem, RuntimeConfig, WatchdogConfig,
+};
 use rumba_core::trainer::TrainedApp;
 use rumba_core::tuner::{Tuner, TuningMode};
 use rumba_core::zoo::ModelZoo;
 use rumba_faults::FaultPlan;
-use rumba_nn::{Matrix, MatrixView, NnError, Scratch};
+use rumba_nn::{Matrix, Scratch};
 use rumba_obs::Event;
 use rumba_predict::{EmaDetector, ErrorEstimator};
 
@@ -273,62 +274,12 @@ pub(crate) enum Admit {
 #[derive(Debug)]
 pub(crate) struct PendingBatch {
     pub(crate) base: usize,
-    pub(crate) rows: usize,
-    pub(crate) inputs: Vec<f64>,
-    /// Per-row zoo tier decisions, fixed serially at detach time from the
-    /// session's routing bar (`None` without a zoo). Routing before the
-    /// parallel phase keeps the decision a pure function of (input,
+    pub(crate) inputs: Matrix,
+    /// Per-row zoo tier decisions, fixed serially at detach time by
+    /// [`RumbaSystem::route_rows`] (`None` without a zoo). Routing before
+    /// the parallel phase keeps the decision a pure function of (input,
     /// session state), independent of worker count.
     pub(crate) routes: Option<Vec<usize>>,
-}
-
-/// Pure accelerator compute for one pending batch. Free-standing (rather
-/// than a `Session` method) so the scheduler's parallel phase can run it
-/// from `&Npu` / `&ModelZoo` alone — `Session` itself is deliberately not
-/// `Sync`.
-///
-/// A routed batch is grouped into per-tier sub-batches so each tier's
-/// SIMD/flat-matrix path still runs over contiguous gathered rows; rows
-/// routed to the exact-CPU tier are left zeroed (the serial replay
-/// computes them exactly).
-pub(crate) fn compute_batch(
-    npu: &Npu,
-    zoo: Option<&ModelZoo>,
-    input_dim: usize,
-    batch: &PendingBatch,
-    scratch: &mut Scratch,
-    out: &mut Matrix,
-) -> Result<(), NnError> {
-    let (Some(routes), Some(zoo)) = (&batch.routes, zoo) else {
-        let view = MatrixView::new(&batch.inputs, batch.rows, input_dim);
-        npu.invoke_batch_at(batch.base, view, scratch, out)?;
-        return Ok(());
-    };
-    out.resize(batch.rows, npu.output_dim());
-    let mut gathered = Vec::new();
-    let mut positions = Vec::new();
-    let mut tier_out = Matrix::default();
-    for t in 0..zoo.len() {
-        gathered.clear();
-        positions.clear();
-        let mut local_rows = Vec::new();
-        for (r, &route) in routes.iter().enumerate() {
-            if route == t {
-                gathered.extend_from_slice(&batch.inputs[r * input_dim..(r + 1) * input_dim]);
-                positions.push(batch.base + r);
-                local_rows.push(r);
-            }
-        }
-        if positions.is_empty() {
-            continue;
-        }
-        let view = MatrixView::new(&gathered, positions.len(), input_dim);
-        zoo.tier(t).npu.invoke_rows_at(&positions, view, scratch, &mut tier_out)?;
-        for (g, &r) in local_rows.iter().enumerate() {
-            out.row_mut(r).copy_from_slice(tier_out.row(g));
-        }
-    }
-    Ok(())
 }
 
 /// One tenant: calibrated pipeline, bounded request queue, completed
@@ -755,11 +706,9 @@ impl Session {
             // Degrade before shedding: every full-queue event raises the
             // zoo's pressure rung (doubling the routing bar), sliding
             // subsequent traffic toward cheaper tiers so drains finish
-            // sooner. The rung decays as drains run under-capacity.
-            let rung = self.system.zoo_pressure();
-            if self.system.zoo().is_some() && rung < MAX_ZOO_PRESSURE {
-                self.system.set_zoo_pressure(rung + 1);
-            }
+            // sooner. The rung decays as drains run under-capacity; it
+            // saturates at `MAX_ZOO_PRESSURE` and stays 0 without a zoo.
+            self.system.set_zoo_pressure(self.system.zoo_pressure() + 1);
             return match self.admission {
                 AdmissionPolicy::Shed => {
                     self.stats.shed += 1;
@@ -796,29 +745,21 @@ impl Session {
     }
 
     /// Detaches the pending queue as a batch for compute, stamped with its
-    /// stream base position.
+    /// stream base position and routed serially at the drain-time bar
+    /// (which only moves at window flushes and pressure changes), before
+    /// any parallel compute sees it.
     pub(crate) fn take_pending(&mut self) -> Option<PendingBatch> {
         if self.pending_rows == 0 {
             return None;
         }
-        let dim = self.kernel.input_dim();
-        // Route the whole batch serially at the drain-time bar (which only
-        // moves at window flushes and pressure changes), before any
-        // parallel compute sees it.
-        let routes = self.system.routing_bar().map(|bar| {
-            let zoo = self.system.zoo().expect("a routing bar implies an attached zoo");
-            (0..self.pending_rows)
-                .map(|r| zoo.route(&self.pending_inputs[r * dim..(r + 1) * dim], bar))
-                .collect()
-        });
-        let batch = PendingBatch {
-            base: self.system.stream_invocations(),
-            rows: self.pending_rows,
-            inputs: std::mem::take(&mut self.pending_inputs),
-            routes,
-        };
-        self.pending_rows = 0;
-        Some(batch)
+        let rows = std::mem::take(&mut self.pending_rows);
+        let inputs = Matrix::from_flat(
+            rows,
+            self.kernel.input_dim(),
+            std::mem::take(&mut self.pending_inputs),
+        );
+        let routes = self.system.route_rows(inputs.view());
+        Some(PendingBatch { base: self.system.stream_invocations(), inputs, routes })
     }
 
     /// Replays a computed batch through the stateful decision path —
@@ -830,40 +771,25 @@ impl Session {
         batch: PendingBatch,
         approx: Matrix,
     ) -> Result<usize, ServeError> {
-        let dim = self.kernel.input_dim();
+        let rows = batch.inputs.rows();
         let out_dim = self.kernel.output_dim();
         let metric = self.kernel.metric();
-        let routes = batch.routes.as_deref();
-        let model_tiers = self.system.zoo().map_or(usize::MAX, rumba_core::zoo::ModelZoo::len);
-        let mut fired = vec![false; batch.rows];
+        let mut fired = vec![false; rows];
         for (i, fired_slot) in fired.iter_mut().enumerate() {
-            let input = &batch.inputs[i * dim..(i + 1) * dim];
-            let outcome = match routes {
-                Some(routes) => {
-                    let tier = routes[i];
-                    // CPU-routed rows carry no precomputed approximation;
-                    // the runtime computes them exactly in the replay.
-                    let approx_row = (tier < model_tiers).then(|| approx.row(i));
-                    self.system.process_routed(
-                        &*self.kernel,
-                        input,
-                        tier,
-                        approx_row,
-                        &mut self.out_buf,
-                    )?
-                }
-                None => self.system.process_approx(
-                    &*self.kernel,
-                    input,
-                    approx.row(i),
-                    &mut self.out_buf,
-                )?,
-            };
+            let input = batch.inputs.row(i);
+            let route = batch.routes.as_ref().map(|routes| routes[i]);
+            let outcome = self.system.process_routed(
+                &*self.kernel,
+                input,
+                route,
+                approx.row(i),
+                &mut self.out_buf,
+            )?;
             self.kernel.compute(input, &mut self.exact_buf);
             let err = metric.invocation_error(&self.exact_buf, &self.out_buf[..out_dim]);
             // CPU-routed rows occupy the CPU lane of the drain's pipeline
             // simulation exactly like a fired re-execution does.
-            *fired_slot = outcome.fired || routes.is_some_and(|r| r[i] == model_tiers);
+            *fired_slot = outcome.fired || outcome.cpu_routed;
             self.stats.processed += 1;
             self.stats.error_sum += err;
             self.completed.push_back(SessionResult {
@@ -878,7 +804,7 @@ impl Session {
         self.stats.compensated = self.system.stream_compensations() as u64;
 
         let run = simulate_detailed_with_faults(
-            batch.rows,
+            rows,
             self.system.npu().cycles_per_invocation() as f64,
             self.cpu_cycles,
             &fired,
@@ -895,19 +821,21 @@ impl Session {
         self.stats.cpu_busy_cycles += run.cpu_busy_cycles;
 
         // Under-capacity drains release queue-pressure degradation one
-        // rung at a time, the inverse of the full-queue raise.
-        if routes.is_some() && batch.rows * 2 < self.effective_capacity() {
+        // rung at a time, the inverse of the full-queue raise (a no-op
+        // without a zoo).
+        if rows * 2 < self.effective_capacity() {
             let rung = self.system.zoo_pressure();
             self.system.set_zoo_pressure(rung.saturating_sub(1));
         }
 
         // Hand the (now larger-capacity) buffers back for reuse.
-        if self.pending_inputs.capacity() < batch.inputs.capacity() {
-            self.pending_inputs = batch.inputs;
+        let inputs = batch.inputs.into_flat();
+        if self.pending_inputs.capacity() < inputs.capacity() {
+            self.pending_inputs = inputs;
             self.pending_inputs.clear();
         }
         self.batch_out = approx;
-        Ok(batch.rows)
+        Ok(rows)
     }
 
     /// Drains this session's queue through the pipeline serially (the
@@ -920,10 +848,15 @@ impl Session {
     pub fn drain(&mut self) -> Result<usize, ServeError> {
         let Some(batch) = self.take_pending() else { return Ok(0) };
         let mut out = std::mem::take(&mut self.batch_out);
-        {
-            let (scratch, npu, zoo) = (&mut self.scratch, self.system.npu(), self.system.zoo());
-            compute_batch(npu, zoo, self.kernel.input_dim(), &batch, scratch, &mut out)?;
-        }
+        invoke_routed(
+            self.system.npu(),
+            self.system.zoo(),
+            batch.base,
+            batch.inputs.view(),
+            batch.routes.as_deref(),
+            &mut self.scratch,
+            &mut out,
+        )?;
         self.absorb(batch, out)
     }
 

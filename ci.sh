@@ -122,6 +122,27 @@ if ! echo "$churn" | grep -q '"correct":true'; then
 fi
 echo "    perfbench tests green; churn smoke correct"
 
+echo "==> perfbench: narrow_tcp correctness smoke"
+# Two shard threads serve two TCP connections and share the process-wide
+# worker pool, so their batched forwards contend for it and fall back to
+# the inline path. The last line must still say every response matched
+# the in-process replay. Only correctness is checked; no timing is asserted.
+narrow=$(cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+    --workload narrow_tcp --seed 1 --seconds 2 --trace 0 2>/dev/null | tail -n 1)
+if ! echo "$narrow" | grep -q '"correct":true'; then
+    echo "FAIL: perfbench narrow_tcp smoke did not report \"correct\":true" >&2
+    echo "$narrow" | head -c 2000 >&2
+    exit 1
+fi
+echo "    narrow_tcp smoke correct"
+
+echo "==> worker pool: rumba-parallel suites at 1 and 4 threads"
+# Persistent workers, caller participation, inline nested and concurrent
+# maps, and panic survival; every map must equal the serial bits.
+RUMBA_THREADS=1 cargo test -q -p rumba-parallel >/dev/null
+RUMBA_THREADS=4 cargo test -q -p rumba-parallel >/dev/null
+echo "    rumba-parallel suites green at RUMBA_THREADS=1 and 4"
+
 echo "==> core runtime: rumba-core suites at 1 and 4 threads"
 # The run loop, the per-row replay and the routed batch compute live in
 # rumba-core; batch runs must equal streaming at any worker count.

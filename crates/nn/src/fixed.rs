@@ -255,9 +255,8 @@ impl FixedModel {
         } else {
             let out_dim = self.output_dim;
             pool.par_chunks_mut(out.as_mut_slice(), out_dim, |_c, range, chunk_out| {
-                let mut local = Scratch::new();
                 let sub = inputs.rows_range(range.start, range.end);
-                self.predict_rows_into(sub, &mut local, chunk_out);
+                Scratch::with_thread_local(|local| self.predict_rows_into(sub, local, chunk_out));
             });
         }
         Ok(())

@@ -264,6 +264,18 @@ impl Scratch {
     pub fn new() -> Self {
         Self::default()
     }
+
+    /// Runs `f` with the calling thread's own grow-only workspace. The
+    /// chunks of a parallel batch use it in place of the caller's
+    /// `Scratch`, which only the caller may borrow: a pool worker keeps
+    /// one for every chunk of every batch it serves. A workspace never
+    /// changes the bits it computes, only where they are staged.
+    pub(crate) fn with_thread_local<R>(f: impl FnOnce(&mut Self) -> R) -> R {
+        thread_local! {
+            static LOCAL: std::cell::RefCell<Scratch> = std::cell::RefCell::new(Scratch::new());
+        }
+        LOCAL.with(|local| f(&mut local.borrow_mut()))
+    }
 }
 
 #[cfg(test)]

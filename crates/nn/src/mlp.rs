@@ -457,19 +457,20 @@ impl Mlp {
             self.forward_rows_flat(n, inputs.as_slice(), quant, a, b, lanes, out.as_mut_slice());
         } else {
             // Rows are independent, so chunking over them is bit-exact at
-            // any thread count; each chunk gets a private workspace.
+            // any thread count; each chunk runs in its thread's workspace.
             pool.par_chunks_mut(out.as_mut_slice(), out_dim, |_c, range, chunk_out| {
-                let mut local = Scratch::new();
                 let sub = inputs.rows_range(range.start, range.end);
-                self.forward_rows_flat(
-                    sub.rows(),
-                    sub.as_slice(),
-                    quant,
-                    &mut local.a,
-                    &mut local.b,
-                    &mut local.lanes,
-                    chunk_out,
-                );
+                Scratch::with_thread_local(|local| {
+                    self.forward_rows_flat(
+                        sub.rows(),
+                        sub.as_slice(),
+                        quant,
+                        &mut local.a,
+                        &mut local.b,
+                        &mut local.lanes,
+                        chunk_out,
+                    );
+                });
             });
         }
         Ok(())

@@ -150,9 +150,10 @@ impl TrainedModel {
         } else {
             let out_dim = self.mlp.output_dim();
             pool.par_chunks_mut(out.as_mut_slice(), out_dim, |_c, range, chunk_out| {
-                let mut local = Scratch::new();
                 let sub = inputs.rows_range(range.start, range.end);
-                self.predict_rows_into(sub, quant, &mut local, chunk_out);
+                Scratch::with_thread_local(|local| {
+                    self.predict_rows_into(sub, quant, local, chunk_out);
+                });
             });
         }
         Ok(())

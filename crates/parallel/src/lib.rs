@@ -23,8 +23,24 @@
 //! Thread count comes from, in priority order: an explicit
 //! [`ThreadPool::with_threads`], the process-wide [`set_thread_override`]
 //! (the CLI's `--threads` flag), the `RUMBA_THREADS` environment variable,
-//! and finally [`std::thread::available_parallelism`]. A count of 1 takes
-//! the exact legacy serial path (no worker threads are spawned at all).
+//! and finally [`std::thread::available_parallelism`]. The environment and
+//! hardware are read once per process; the override is a relaxed load per
+//! pool. A count of 1 takes the exact legacy serial path (no worker thread
+//! is touched at all).
+//!
+//! # Workers
+//!
+//! Parallel maps run on one process-wide set of parked worker threads,
+//! started lazily and then reused, so a map after warm-up spawns no OS
+//! thread. The calling thread joins its own map: it posts the chunk-claim
+//! loop, wakes at most `threads − 1` helpers, claims chunks itself, then
+//! withdraws the job and waits only for helpers already inside it. A small
+//! map the caller finishes before any helper wakes therefore never waits on
+//! one. A map issued while the workers serve another map (from a worker, a
+//! chunk, or another thread) runs the serial chunk loop inline instead, so
+//! nested maps never oversubscribe the machine and never deadlock. Neither
+//! path changes the chunk layout or the merge order, so neither changes a
+//! bit of the output.
 //!
 //! # Examples
 //!
@@ -37,8 +53,10 @@
 //! assert_eq!(doubled, vec![2, 4, 6]);
 //! ```
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::any::Any;
+use std::panic::{self, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 
 /// Process-wide thread-count override (0 = unset). Set by the CLI's
 /// `--threads` flag; takes precedence over `RUMBA_THREADS`.
@@ -51,15 +69,20 @@ pub fn set_thread_override(threads: Option<usize>) {
 }
 
 /// Resolves the effective thread count: override, then `RUMBA_THREADS`,
-/// then available parallelism (minimum 1 everywhere).
+/// then available parallelism (minimum 1 everywhere). The environment and
+/// hardware parts are resolved on the first call and kept for the life of
+/// the process; the override is read on every call.
 #[must_use]
 pub fn max_threads() -> usize {
+    static RESOLVED: OnceLock<usize> = OnceLock::new();
     let over = THREAD_OVERRIDE.load(Ordering::Relaxed);
     if over > 0 {
         return over;
     }
-    let env = std::env::var("RUMBA_THREADS").ok();
-    threads_from_parts(env.as_deref(), default_parallelism())
+    *RESOLVED.get_or_init(|| {
+        let env = std::env::var("RUMBA_THREADS").ok();
+        threads_from_parts(env.as_deref(), default_parallelism())
+    })
 }
 
 fn default_parallelism() -> usize {
@@ -112,11 +135,148 @@ fn note_pool_usage(n_chunks: usize, workers: usize) {
     }
 }
 
+/// A chunk-claim loop posted to the workers, its borrow lifetime erased
+/// (see the SAFETY note in [`Lease::run`]).
+type Job = &'static (dyn Fn() + Sync);
+
+/// The process-wide set of parked workers behind every parallel map.
+struct Workers {
+    /// Held by the one caller whose map the workers serve; a map that
+    /// finds it taken runs inline.
+    leased: AtomicBool,
+    state: Mutex<WorkerState>,
+    /// Parked workers wait here for a job.
+    wake: Condvar,
+    /// The caller waits here for the last helper to leave its job.
+    left: Condvar,
+}
+
+struct WorkerState {
+    /// The posted job; `None` once its caller has withdrawn it.
+    job: Option<Job>,
+    /// Helpers the posted job may still take on.
+    wanted: usize,
+    /// Helpers running the posted job right now.
+    inside: usize,
+    /// Workers started so far; they never exit.
+    spawned: usize,
+}
+
+static WORKERS: Workers = Workers {
+    leased: AtomicBool::new(false),
+    state: Mutex::new(WorkerState { job: None, wanted: 0, inside: 0, spawned: 0 }),
+    wake: Condvar::new(),
+    left: Condvar::new(),
+};
+
+impl Workers {
+    /// No code panics while holding the state lock (jobs run outside it and
+    /// catch their own panics), and every update under it is a single
+    /// field store, so a poisoned lock still guards valid state.
+    fn lock(&self) -> MutexGuard<'_, WorkerState> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
+/// A parked worker: joins whichever posted job still wants a helper.
+fn worker_loop() {
+    let mut st = WORKERS.lock();
+    loop {
+        match st.job {
+            Some(job) if st.wanted > 0 => {
+                st.wanted -= 1;
+                st.inside += 1;
+                drop(st);
+                job();
+                st = WORKERS.lock();
+                st.inside -= 1;
+                if st.inside == 0 {
+                    WORKERS.left.notify_one();
+                }
+            }
+            _ => st = WORKERS.wake.wait(st).unwrap_or_else(PoisonError::into_inner),
+        }
+    }
+}
+
+/// Exclusive use of the workers for one map; released on drop.
+struct Lease(());
+
+impl Lease {
+    /// Takes the workers unless another map holds them.
+    fn acquire() -> Option<Self> {
+        WORKERS.leased.compare_exchange(false, true, Ordering::Acquire, Ordering::Relaxed).ok()?;
+        Some(Self(()))
+    }
+
+    /// Runs `job` on the calling thread with up to `helpers` workers
+    /// joining it, starting workers on first demand. `job` must claim its
+    /// work until none is left, so it is correct for any number of
+    /// participants. Returns once every helper has left `job`; a panic in
+    /// any participant is then re-raised here, and the workers survive it.
+    fn run(self, helpers: usize, job: &(dyn Fn() + Sync)) {
+        let panicked: Mutex<Option<Box<dyn Any + Send>>> = Mutex::new(None);
+        let guarded = || {
+            if let Err(payload) = panic::catch_unwind(AssertUnwindSafe(job)) {
+                let mut slot = panicked.lock().unwrap_or_else(PoisonError::into_inner);
+                slot.get_or_insert(payload);
+            }
+        };
+        let guarded: &(dyn Fn() + Sync) = &guarded;
+        // SAFETY: the erased reference reaches helpers only through
+        // `WorkerState::job`, which is withdrawn below before this frame
+        // returns, and the return waits until `inside` is 0, so no helper
+        // still runs `guarded` once `job`, `panicked` and the caller data
+        // they borrow go out of scope. Nothing in between can unwind past
+        // the wait: `guarded` catches every panic and the state lock
+        // recovers from poison.
+        let erased: Job = unsafe { std::mem::transmute::<&(dyn Fn() + Sync), Job>(guarded) };
+        {
+            let mut st = WORKERS.lock();
+            while st.spawned < helpers && spawn_worker() {
+                st.spawned += 1;
+            }
+            st.job = Some(erased);
+            st.wanted = helpers;
+        }
+        for _ in 0..helpers {
+            WORKERS.wake.notify_one();
+        }
+        guarded();
+        let mut st = WORKERS.lock();
+        st.job = None;
+        st.wanted = 0;
+        while st.inside > 0 {
+            st = WORKERS.left.wait(st).unwrap_or_else(PoisonError::into_inner);
+        }
+        drop(st);
+        drop(self);
+        if let Some(payload) = panicked.into_inner().unwrap_or_else(PoisonError::into_inner) {
+            panic::resume_unwind(payload);
+        }
+    }
+}
+
+impl Drop for Lease {
+    fn drop(&mut self) {
+        WORKERS.leased.store(false, Ordering::Release);
+    }
+}
+
+/// Starts one parked worker. Workers live as long as the process and hold
+/// nothing between jobs, so they are never joined; a failed spawn just
+/// leaves the caller more chunks to run itself.
+fn spawn_worker() -> bool {
+    std::thread::Builder::new().name("rumba-pool".to_owned()).spawn(worker_loop).is_ok()
+}
+
 /// A deterministic pool of `std::thread` workers.
 ///
-/// The pool is a thread-count policy plus the chunked map primitives; the
-/// worker threads themselves are scoped to each map call, so a pool is
-/// trivially cheap to construct and carries no shutdown obligations.
+/// A pool is a thread-count policy plus the chunked map primitives. The
+/// worker threads are shared by every pool in the process: started on the
+/// first map that needs them and parked between maps, while the calling
+/// thread claims chunks alongside them. A pool is therefore trivially
+/// cheap to construct and carries no shutdown obligations.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ThreadPool {
     threads: usize,
@@ -186,7 +346,7 @@ impl ThreadPool {
     ///
     /// # Panics
     ///
-    /// Propagates panics from `f` (the scope joins all workers first).
+    /// Propagates panics from `f`, once every worker has left the map.
     pub fn par_map_chunked<R, F>(&self, n: usize, f: F) -> Vec<R::Item>
     where
         R: IntoIterator + Send,
@@ -198,7 +358,8 @@ impl ThreadPool {
         let workers = self.threads.min(n_chunks.max(1));
         note_pool_usage(n_chunks, workers);
 
-        if workers <= 1 || n_chunks <= 1 {
+        let lease = if workers > 1 { Lease::acquire() } else { None };
+        let Some(lease) = lease else {
             // Exact legacy serial path: same chunks, same order, no threads.
             let mut merged = Vec::with_capacity(n);
             for c in 0..n_chunks {
@@ -206,25 +367,21 @@ impl ThreadPool {
                 merged.extend(f(c, lo..(lo + chunk).min(n)));
             }
             return merged;
-        }
+        };
 
         let next = AtomicUsize::new(0);
         let parts: Mutex<Vec<(usize, Vec<R::Item>)>> = Mutex::new(Vec::with_capacity(n_chunks));
-        std::thread::scope(|s| {
-            for _ in 0..workers {
-                s.spawn(|| loop {
-                    let c = next.fetch_add(1, Ordering::Relaxed);
-                    if c >= n_chunks {
-                        break;
-                    }
-                    let lo = c * chunk;
-                    let out: Vec<R::Item> = f(c, lo..(lo + chunk).min(n)).into_iter().collect();
-                    parts.lock().expect("worker panicked holding results lock").push((c, out));
-                });
+        lease.run(workers - 1, &|| loop {
+            let c = next.fetch_add(1, Ordering::Relaxed);
+            if c >= n_chunks {
+                break;
             }
+            let lo = c * chunk;
+            let out: Vec<R::Item> = f(c, lo..(lo + chunk).min(n)).into_iter().collect();
+            parts.lock().expect("no chunk runs under the results lock").push((c, out));
         });
 
-        let mut parts = parts.into_inner().expect("workers joined");
+        let mut parts = parts.into_inner().expect("no chunk runs under the results lock");
         parts.sort_unstable_by_key(|&(c, _)| c);
         debug_assert_eq!(parts.len(), n_chunks);
         let mut merged = Vec::with_capacity(n);
@@ -267,7 +424,8 @@ impl ThreadPool {
         let workers = self.threads.min(n_chunks);
         note_pool_usage(n_chunks, workers);
 
-        if workers <= 1 || n_chunks <= 1 {
+        let lease = if workers > 1 { Lease::acquire() } else { None };
+        let Some(lease) = lease else {
             // Exact serial path: same chunks, same order, zero allocation.
             let mut rest = data;
             for c in 0..n_chunks {
@@ -278,7 +436,7 @@ impl ThreadPool {
                 rest = tail;
             }
             return;
-        }
+        };
 
         let mut jobs: Vec<(usize, std::ops::Range<usize>, &mut [T])> = Vec::with_capacity(n_chunks);
         let mut rest = data;
@@ -290,15 +448,11 @@ impl ThreadPool {
             rest = tail;
         }
         let jobs = Mutex::new(jobs);
-        std::thread::scope(|s| {
-            for _ in 0..workers {
-                s.spawn(|| loop {
-                    let job = jobs.lock().expect("worker panicked holding job lock").pop();
-                    match job {
-                        Some((c, range, slice)) => f(c, range, slice),
-                        None => break,
-                    }
-                });
+        lease.run(workers - 1, &|| loop {
+            let job = jobs.lock().expect("no chunk runs under the job lock").pop();
+            match job {
+                Some((c, range, slice)) => f(c, range, slice),
+                None => break,
             }
         });
     }

@@ -3,7 +3,7 @@
 //! (MAC chain for the linear model, comparator walk for the tree, one
 //! multiply-add for the EMA).
 
-use rumba_predict::{CheckerCost, ErrorEstimator};
+use rumba_predict::{CheckerCost, ErrorEstimator, Sections};
 
 /// A checker datapath wrapping an [`ErrorEstimator`] with a hardware cycle
 /// model.
@@ -127,60 +127,62 @@ impl CheckerUnit {
         self.estimator.estimate(input, approx_output)
     }
 
-    /// The wrapped estimator's trained-model words (see
-    /// [`ErrorEstimator::export_model_words`]); `None` when the estimator
-    /// kind does not support trained-model transport.
+    /// The wrapped estimator's trained model and signed companion as
+    /// config-queue streams (see [`ErrorEstimator::export_model`]).
     #[must_use]
-    pub fn export_model(&self) -> Option<Vec<u64>> {
-        self.estimator.export_model_words()
+    pub fn export_model(&self) -> Option<(Vec<f64>, Option<Vec<f64>>)> {
+        self.estimator.export_model()
     }
 
-    /// Restores trained-model words produced by
-    /// [`CheckerUnit::export_model`], refreshing the cycle model.
+    /// Restores streams produced by [`CheckerUnit::export_model`] for
+    /// `input_dim`-wide inputs, refreshing the cycle model.
     ///
     /// # Errors
     ///
     /// Propagates the estimator's decode errors.
-    pub fn import_model(&mut self, words: &[u64]) -> Result<(), String> {
-        self.estimator.import_model_words(words)?;
+    pub fn import_model(
+        &mut self,
+        input_dim: usize,
+        model: &[f64],
+        signed: Option<&[f64]>,
+    ) -> Result<(), String> {
+        self.estimator.import_model(input_dim, model, signed)?;
         self.cycles = cycles_of(self.estimator.cost());
         Ok(())
     }
 
-    /// Serializes the datapath's online state (prediction counter, the
-    /// estimator's configuration fingerprint, then the estimator's own
-    /// words) for session snapshots.
-    #[must_use]
-    pub fn export_state(&self) -> Vec<u64> {
-        let mut words = vec![self.predictions, self.estimator.state_config_word()];
-        words.extend(self.estimator.export_state());
-        words
+    /// Writes the datapath's online state — the `checker` section
+    /// (prediction counter, the estimator's configuration fingerprint),
+    /// then the estimator's own section, if any — for session snapshots.
+    pub fn export_state(&self, out: &mut Sections) {
+        out.section("checker").word(self.predictions).word(self.estimator.state_config_word());
+        self.estimator.export_state(out);
     }
 
-    /// Restores state exported by [`CheckerUnit::export_state`] onto an
+    /// Restores state written by [`CheckerUnit::export_state`] onto an
     /// identically configured unit.
     ///
     /// # Errors
     ///
-    /// Returns a description of the mismatch when the words do not decode,
-    /// or when the embedded configuration fingerprint disagrees with this
-    /// unit's estimator — state words from a differently-configured checker
-    /// (another kind, another EMA window, another model shape) can share a
-    /// word count and would otherwise corrupt online state silently.
-    pub fn import_state(&mut self, words: &[u64]) -> Result<(), String> {
-        if words.len() < 2 {
-            return Err(format!("checker state wants at least 2 words, got {}", words.len()));
-        }
-        let (predictions, config_word, rest) = (words[0], words[1], &words[2..]);
-        let expected = self.estimator.state_config_word();
-        if config_word != expected {
-            return Err(format!(
-                "checker config mismatch: snapshot was taken under {config_word:#018x}, \
+    /// Returns a description of the mismatch when a section does not
+    /// decode, or when the embedded configuration fingerprint disagrees
+    /// with this unit's estimator — state from a differently-configured
+    /// checker (another kind, another EMA window, another model shape) can
+    /// share a word count and would otherwise corrupt online state
+    /// silently.
+    pub fn import_state(&mut self, sections: &mut Sections) -> Result<(), String> {
+        let mut checker = sections.take("checker")?;
+        let predictions = checker.counter()?;
+        let (config_word, expected) = (checker.word()?, self.estimator.state_config_word());
+        checker.ensure(config_word == expected, || {
+            format!(
+                "config mismatch: snapshot was taken under {config_word:#018x}, \
                  this session's {} checker is {expected:#018x}",
                 self.estimator.name()
-            ));
-        }
-        self.estimator.import_state(rest)?;
+            )
+        })?;
+        checker.end()?;
+        self.estimator.import_state(sections)?;
         self.predictions = predictions;
         Ok(())
     }
@@ -244,11 +246,14 @@ mod tests {
     fn state_round_trips_through_the_config_word() {
         let mut unit = CheckerUnit::new(Box::new(EmaDetector::new(4, 2).unwrap()));
         let _ = unit.predict(&[], &[1.0, 2.0]);
-        let words = unit.export_state();
+        let mut sections = Sections::default();
+        unit.export_state(&mut sections);
         let mut fresh = CheckerUnit::new(Box::new(EmaDetector::new(4, 2).unwrap()));
-        fresh.import_state(&words).unwrap();
+        fresh.import_state(&mut sections.clone()).unwrap();
         assert_eq!(fresh.predictions(), 1);
-        assert_eq!(fresh.export_state(), words);
+        let mut again = Sections::default();
+        fresh.export_state(&mut again);
+        assert_eq!(again, sections);
     }
 
     #[test]
@@ -272,30 +277,34 @@ mod tests {
         let _ = unit.probe(&[0.5], &[]);
         assert_eq!(unit.predictions(), n);
 
-        // Model words migrate the refit checker onto a fresh unit.
-        let words = unit.export_model().unwrap();
+        // Model streams migrate the refit checker onto a fresh unit.
+        let (model, signed_model) = unit.export_model().unwrap();
         let mut fresh = CheckerUnit::new(Box::new(
             TreeErrors::train(&refs, &flat, &TreeParams::default()).unwrap(),
         ));
-        fresh.import_model(&words).unwrap();
-        assert_eq!(fresh.export_model().unwrap(), words);
+        fresh.import_model(1, &model, signed_model.as_deref()).unwrap();
+        assert_eq!(fresh.export_model().unwrap(), (model.clone(), signed_model));
         assert_eq!(fresh.cycles_per_prediction(), unit.cycles_per_prediction());
 
         // Output-based detectors decline the whole surface.
         let mut ema = CheckerUnit::new(Box::new(EmaDetector::new(4, 1).unwrap()));
         assert!(ema.refit(&refs, &wavy, &signed).is_err());
         assert!(ema.export_model().is_none());
-        assert!(ema.import_model(&words).is_err());
+        assert!(ema.import_model(1, &model, None).is_err());
     }
 
     #[test]
     fn import_rejects_a_differently_configured_checker() {
         // Same output_dim → identical estimator word counts; only the
         // config fingerprint tells an 8-window EMA from a 4-window one.
+        let export = |unit: &CheckerUnit| {
+            let mut sections = Sections::default();
+            unit.export_state(&mut sections);
+            sections
+        };
         let unit = CheckerUnit::new(Box::new(EmaDetector::new(8, 1).unwrap()));
-        let words = unit.export_state();
         let mut other_alpha = CheckerUnit::new(Box::new(EmaDetector::new(4, 1).unwrap()));
-        let err = other_alpha.import_state(&words).unwrap_err();
+        let err = other_alpha.import_state(&mut export(&unit)).unwrap_err();
         assert!(err.contains("config mismatch"), "{err}");
 
         // Cross-kind: linear state under a tree checker.
@@ -306,6 +315,6 @@ mod tests {
         let mut tree = CheckerUnit::new(Box::new(
             TreeErrors::train(&refs, &errors, &TreeParams::default()).unwrap(),
         ));
-        assert!(tree.import_state(&linear.export_state()).unwrap_err().contains("mismatch"));
+        assert!(tree.import_state(&mut export(&linear)).unwrap_err().contains("mismatch"));
     }
 }

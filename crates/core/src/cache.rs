@@ -27,29 +27,32 @@ use std::path::{Path, PathBuf};
 
 use rumba_accel::{Npu, NpuParams};
 use rumba_nn::{decode_model, encode_model, TrainParams, TrainedModel};
+use rumba_predict::codec::{fnv1a, FNV_OFFSET};
 use rumba_predict::{
-    decode_evp, decode_linear, decode_tree, encode_evp, encode_linear, encode_tree, EvpErrors,
-    LinearErrors, LinearModel, TreeErrors,
+    decode_evp, decode_linear, decode_linear_model, decode_tree, decode_tree_model, encode_evp,
+    encode_linear, encode_linear_model, encode_tree, encode_tree_model, EvpErrors, LinearErrors,
+    LinearModel, TreeErrors,
 };
 
 use crate::trainer::OfflineConfig;
 use crate::zoo::{ModelZoo, ZooTier};
 
-const FORMAT_HEADER: &str = "rumba-trained-model-cache v1";
+const FORMAT_HEADER: &str = "rumba-trained-model-cache v2";
 
 /// The decoded contents of one cache entry: everything `train_app` fits
-/// with a neural network or a closed-form solver. Entries written before
-/// the EVP section existed simply miss (a missing section is a malformed
-/// entry) and retrain.
+/// with a neural network or a closed-form solver, the checkers' signed
+/// companions included. Entries written under an older format header
+/// simply miss and retrain.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CachedModels {
     /// The Rumba-topology accelerator model.
     pub rumba_model: TrainedModel,
     /// The unchecked-NPU-topology baseline model.
     pub baseline_model: TrainedModel,
-    /// The trained linear checker.
+    /// The trained linear checker (with its signed companion, if fitted).
     pub linear: LinearErrors,
-    /// The trained decision-tree checker.
+    /// The trained decision-tree checker (with its signed companion, if
+    /// fitted).
     pub tree: TreeErrors,
     /// The trained value-prediction (EVP) checker.
     pub evp: EvpErrors,
@@ -324,12 +327,7 @@ fn cache_key(
     // field automatically invalidates old entries.
     let ingredients =
         format!("{kernel_name}|{:?}|{:?}|{cfg:?}|{nn_params:?}", topologies.0, topologies.1);
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in ingredients.bytes() {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
+    fnv1a(FNV_OFFSET, ingredients.as_bytes())
 }
 
 fn push_section(out: &mut String, name: &str, words: &[f64]) {
@@ -347,7 +345,13 @@ fn write_entry(path: &Path, kernel_name: &str, models: &CachedModels) -> std::io
     push_section(&mut text, "rumba_model", &encode_model(&models.rumba_model));
     push_section(&mut text, "baseline_model", &encode_model(&models.baseline_model));
     push_section(&mut text, "linear", &encode_linear(&models.linear));
+    if let Some(signed) = models.linear.signed_model() {
+        push_section(&mut text, "linear_signed", &encode_linear_model(signed));
+    }
     push_section(&mut text, "tree", &encode_tree(&models.tree));
+    if let Some(signed) = models.tree.signed_tree() {
+        push_section(&mut text, "tree_signed", &encode_tree_model(signed));
+    }
     push_section(&mut text, "evp", &encode_evp(&models.evp));
     push_section(&mut text, "train_errors", &models.train_errors);
 
@@ -406,17 +410,25 @@ fn parse_sections(text: &str) -> Option<Vec<(String, Vec<f64>)>> {
 fn parse_entry(text: &str) -> Option<CachedModels> {
     let sections = parse_sections(text)?;
     let find = |name: &str| sections.iter().find(|(n, _)| n == name).map(|(_, w)| w.as_slice());
+    let mut linear = decode_linear(find("linear")?).ok()?;
+    if let Some(words) = find("linear_signed") {
+        linear = linear.with_signed_model(decode_linear_model(words).ok()?);
+    }
+    let mut tree = decode_tree(find("tree")?).ok()?;
+    if let Some(words) = find("tree_signed") {
+        tree = tree.with_signed_tree(decode_tree_model(words).ok()?);
+    }
     Some(CachedModels {
         rumba_model: decode_model(find("rumba_model")?).ok()?,
         baseline_model: decode_model(find("baseline_model")?).ok()?,
-        linear: decode_linear(find("linear")?).ok()?,
-        tree: decode_tree(find("tree")?).ok()?,
+        linear,
+        tree,
         evp: decode_evp(find("evp")?).ok()?,
         train_errors: find("train_errors")?.to_vec(),
     })
 }
 
-/// The zoo entry reuses the v1 envelope with a `zoo_spec` section — the
+/// The zoo entry reuses the same envelope with a `zoo_spec` section — the
 /// stored tier count followed by `[precision_bits (-1 for none),
 /// fixed_point flag, train_error]` per tier — plus per-tier `zoo_model_i`
 /// (accelerator config-words) and `zoo_router_i`
@@ -538,6 +550,11 @@ mod tests {
         );
         assert_eq!(bits(&encode_linear(&loaded.linear)), bits(&encode_linear(&trained.linear)));
         assert_eq!(bits(&encode_tree(&loaded.tree)), bits(&encode_tree(&trained.tree)));
+        // The signed companions the compensation path subtracts persist too.
+        let signed_linear = |c: &LinearErrors| encode_linear_model(c.signed_model().unwrap());
+        let signed_tree = |c: &TreeErrors| encode_tree_model(c.signed_tree().unwrap());
+        assert_eq!(bits(&signed_linear(&loaded.linear)), bits(&signed_linear(&trained.linear)));
+        assert_eq!(bits(&signed_tree(&loaded.tree)), bits(&signed_tree(&trained.tree)));
         assert_eq!(bits(&encode_evp(&loaded.evp)), bits(&encode_evp(&trained.evp)));
         assert_eq!(bits(&loaded.train_errors), bits(&trained.train_errors));
 

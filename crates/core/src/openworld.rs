@@ -25,6 +25,8 @@
 
 use rumba_faults::{decision, splitmix64, FaultModel, FaultPlan};
 use rumba_nn::NnDataset;
+use rumba_predict::codec::{fnv1a, FNV_OFFSET};
+use rumba_predict::Sections;
 
 /// How a scenario's input distribution moves over the stream.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -98,12 +100,7 @@ pub fn scenarios() -> Vec<Scenario> {
 /// sample hashes so two scenarios sharing a seed emit unrelated streams.
 #[must_use]
 pub fn scenario_tag(name: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in name.as_bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+    fnv1a(FNV_OFFSET, name.as_bytes())
 }
 
 /// A seeded generative stream over one kernel's dataset under one
@@ -333,63 +330,48 @@ impl Reservoir {
         self.offered = 0;
     }
 
-    /// Appends the reservoir as self-describing `u64` config-words:
-    /// `[offered, row_count, then per row: poisoned, input_len, input
-    /// bits…, exact_len, exact bits…, approx_len, approx bits…]`.
-    pub fn to_words(&self, out: &mut Vec<u64>) {
-        out.push(self.offered);
-        out.push(self.rows.len() as u64);
+    /// Writes the reservoir as the `reservoir` snapshot section: the
+    /// offer count, then per held row its poison flag and its input, exact
+    /// and approximate rows. The held-row count is implied —
+    /// `min(offered, capacity)`, as [`Reservoir::offer`] keeps it — and
+    /// the row widths are the kernel's, so neither is written.
+    pub fn export(&self, out: &mut Sections) {
+        let mut section = out.section("reservoir");
+        section.word(self.offered);
         for row in &self.rows {
-            out.push(u64::from(row.poisoned));
-            for vec in [&row.input, &row.exact, &row.approx] {
-                out.push(vec.len() as u64);
-                out.extend(vec.iter().map(|v| v.to_bits()));
-            }
+            section.flag(row.poisoned).floats(&row.input).floats(&row.exact).floats(&row.approx);
         }
     }
 
-    /// Parses words written by [`Reservoir::to_words`] starting at `pos`
-    /// (advanced past the reservoir block) into a reservoir of the given
-    /// capacity.
+    /// Reads the `reservoir` section written by [`Reservoir::export`]
+    /// into a reservoir of the given capacity whose rows are
+    /// `input_dim` inputs and `output_dim` outputs wide.
     ///
     /// # Errors
     ///
-    /// Returns a description of the first malformed word; `pos` is
-    /// unspecified on error.
-    pub fn from_words(
+    /// Returns a description of the first malformed field: a missing or
+    /// short section, a bad poison flag, a non-finite input (a refit
+    /// trains on inputs as features), or unread words.
+    pub fn import(
         capacity: usize,
-        words: &[u64],
-        pos: &mut usize,
+        (input_dim, output_dim): (usize, usize),
+        sections: &mut Sections,
     ) -> std::result::Result<Self, String> {
-        fn take(words: &[u64], pos: &mut usize, what: &str) -> std::result::Result<u64, String> {
-            let w = words.get(*pos).copied().ok_or(format!("reservoir words ended at {what}"))?;
-            *pos += 1;
-            Ok(w)
-        }
-        let offered = take(words, pos, "offered")?;
-        let count = take(words, pos, "row count")? as usize;
-        if count > capacity {
-            return Err(format!("reservoir carries {count} rows over capacity {capacity}"));
-        }
-        let mut rows = Vec::with_capacity(count);
-        for r in 0..count {
-            let poisoned = match take(words, pos, "poison flag")? {
-                0 => false,
-                1 => true,
-                flag => return Err(format!("row {r} poison flag must be 0|1, got {flag}")),
-            };
-            let mut vecs: [Vec<f64>; 3] = [Vec::new(), Vec::new(), Vec::new()];
-            for vec in &mut vecs {
-                let len = take(words, pos, "vector length")? as usize;
-                if len > words.len().saturating_sub(*pos) {
-                    return Err(format!("row {r} claims {len} elements, words ran out"));
-                }
-                vec.extend(words[*pos..*pos + len].iter().map(|&w| f64::from_bits(w)));
-                *pos += len;
-            }
-            let [input, exact, approx] = vecs;
+        let mut section = sections.take("reservoir")?;
+        let offered = section.counter()?;
+        let held = capacity.min(offered as usize);
+        let mut rows = Vec::with_capacity(held);
+        for _ in 0..held {
+            let poisoned = section.flag()?;
+            let input = section.floats(input_dim)?;
+            section.ensure(input.iter().all(|v| v.is_finite()), || {
+                format!("reservoir row {} has a non-finite input", rows.len())
+            })?;
+            let exact = section.floats(output_dim)?;
+            let approx = section.floats(output_dim)?;
             rows.push(ReservoirRow { input, exact, approx, poisoned });
         }
+        section.end()?;
         Ok(Self { capacity, offered, rows })
     }
 }
@@ -531,31 +513,43 @@ mod tests {
     }
 
     #[test]
-    fn words_round_trip_bit_for_bit() {
+    fn section_round_trips_bit_for_bit_and_is_checked() {
         let mut r = Reservoir::new(6);
         for k in 0..40 {
             r.offer(row(k, k % 5 == 0));
         }
-        let mut words = Vec::new();
-        r.to_words(&mut words);
-        let mut pos = 0usize;
-        let back = Reservoir::from_words(6, &words, &mut pos).unwrap();
-        assert_eq!(pos, words.len(), "whole block consumed");
+        let (dims, export) = ((2, 1), |r: &Reservoir| {
+            let mut sections = Sections::default();
+            r.export(&mut sections);
+            sections
+        });
+        let words = export(&r);
+        let back = Reservoir::import(6, dims, &mut words.clone()).unwrap();
         assert_eq!(back, r);
-        let mut rewords = Vec::new();
-        back.to_words(&mut rewords);
-        assert_eq!(rewords, words);
+        assert_eq!(export(&back), words);
+        let mut short = Reservoir::new(6);
+        short.offer(row(1, false));
+        assert_eq!(Reservoir::import(6, dims, &mut export(&short)).unwrap(), short);
 
-        // Truncated and corrupt blocks are rejected.
-        let mut pos = 0usize;
-        assert!(Reservoir::from_words(6, &words[..words.len() - 1], &mut pos).is_err());
-        let mut corrupt = words.clone();
-        corrupt[2] = 9; // poison flag of row 0
-        let mut pos = 0usize;
-        assert!(Reservoir::from_words(6, &corrupt, &mut pos).is_err());
-        // Over-capacity decode is rejected (capacity is construction
-        // config, not part of the words).
-        let mut pos = 0usize;
-        assert!(Reservoir::from_words(2, &words, &mut pos).is_err());
+        // Truncated, corrupt and mis-shaped sections are rejected.
+        let (_, body) = words.iter().next().unwrap();
+        let with = |body: &[u64]| {
+            let mut sections = Sections::default();
+            let mut w = sections.section("reservoir");
+            for &word in body {
+                w.word(word);
+            }
+            sections
+        };
+        assert!(Reservoir::import(6, dims, &mut with(&body[..body.len() - 1])).is_err());
+        let mut corrupt = body.to_vec();
+        corrupt[1] = 9; // poison flag of row 0
+        assert!(Reservoir::import(6, dims, &mut with(&corrupt)).is_err());
+        let mut nan_input = body.to_vec();
+        nan_input[2] = f64::NAN.to_bits();
+        assert!(Reservoir::import(6, dims, &mut with(&nan_input)).is_err());
+        // Capacity and widths are construction config, not part of the words.
+        assert!(Reservoir::import(2, dims, &mut words.clone()).is_err());
+        assert!(Reservoir::import(6, (1, 1), &mut words.clone()).is_err());
     }
 }

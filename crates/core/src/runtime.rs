@@ -8,6 +8,7 @@ use rumba_apps::Kernel;
 use rumba_energy::SchemeActivity;
 use rumba_faults::{FaultKind, FaultPlan, FaultStats};
 use rumba_nn::{Matrix, MatrixView, NnDataset, NnError, Scratch};
+use rumba_predict::Sections;
 
 use crate::openworld::{Reservoir, ReservoirRow};
 use crate::pipeline::{simulate, PipelineRun};
@@ -359,8 +360,8 @@ impl RumbaSystem {
     }
 
     /// Arms the online checker re-fit (see [`RefitConfig`]). Opt-in: an
-    /// unarmed system keeps the reset-only `Recalibrated` rung and its
-    /// exported state layout byte-identical to pre-refit builds.
+    /// unarmed system keeps the reset-only `Recalibrated` rung and writes
+    /// no `refit` or `reservoir` snapshot section.
     ///
     /// # Errors
     ///
@@ -567,242 +568,185 @@ impl RumbaSystem {
         &self.tuner
     }
 
-    /// Serializes the system's *streaming* state — tuner threshold,
-    /// calibration anchor, window counters, degradation-ladder position,
-    /// fault accounting, and the checker's online words — as plain `u64`
-    /// config-words. Together with the construction-time configuration
-    /// (which the serving layer's snapshot records separately) this is
-    /// everything needed to resume a stream bit-for-bit on a freshly
-    /// built system.
+    /// Writes the system's *streaming* state as named snapshot sections:
+    /// `tuner` (threshold, calibration anchor, and the compensation band
+    /// when armed), `window` (tuning-window and stream counters),
+    /// `ladder` (degradation stage and fault accounting), `checker` (plus
+    /// the estimator's own section, if any), and `zoo`, `refit` and
+    /// `reservoir` exactly when those are armed. Together with the
+    /// construction-time configuration (which the serving layer's snapshot
+    /// records separately) this is everything needed to resume a stream
+    /// bit-for-bit on a freshly built system.
     #[must_use]
-    pub fn export_state(&self) -> Vec<u64> {
-        let stage = match self.stage {
-            DegradeStage::Normal => 0,
-            DegradeStage::Recalibrated => 1,
-            DegradeStage::CpuFallback => 2,
-        };
-        let checker = self.checker.export_state();
-        let (band_flag, band_bits) = match self.tuner.compensation_band() {
-            Some(band) => (1, band.to_bits()),
-            None => (0, 0),
-        };
-        let mut words = vec![
-            self.tuner.threshold().to_bits(),
-            self.initial_threshold.to_bits(),
-            self.window_fired as u64,
-            self.window_suppressed as u64,
-            self.window_pred_sum.to_bits(),
-            self.window_len as u64,
-            self.window_queue_depth,
-            self.window_quarantined as u64,
-            self.windows_flushed,
-            self.stream_fixes as u64,
-            self.stream_invocations as u64,
-            stage,
-            u64::from(self.dirty_windows),
-            self.fault_stats.injected_outputs,
-            self.fault_stats.drifted_inputs,
-            self.fault_stats.checker_blinded,
-            self.fault_stats.quarantined,
-            self.fault_stats.detected,
-            self.fault_stats.escaped,
-            self.fault_stats.recalibrations,
-            self.fault_stats.fallbacks,
-            band_flag,
-            band_bits,
-            self.window_compensated as u64,
-            self.stream_compensations as u64,
-            checker.len() as u64,
-        ];
-        words.extend(checker);
-        // Zoo routing state rides after the checker words, only when a zoo
-        // is attached — the legacy word layout is byte-identical otherwise.
+    pub fn export_state(&self) -> Sections {
+        let mut out = Sections::default();
+        let mut tuner = out.section("tuner");
+        tuner.float(self.tuner.threshold()).float(self.initial_threshold);
+        if let Some(band) = self.tuner.compensation_band() {
+            tuner.float(band);
+        }
+        let mut window = out.section("window");
+        window.word(self.window_len as u64);
+        for count in [
+            self.window_fired,
+            self.window_suppressed,
+            self.window_quarantined,
+            self.window_compensated,
+        ] {
+            window.word(count as u64);
+        }
+        window.float(self.window_pred_sum).word(self.window_queue_depth);
+        window.word(self.windows_flushed).word(self.stream_fixes as u64);
+        window.word(self.stream_compensations as u64).word(self.stream_invocations as u64);
+        let mut ladder = out.section("ladder");
+        ladder.word(self.stage as u64).word(u64::from(self.dirty_windows));
+        let f = &self.fault_stats;
+        for count in [
+            f.injected_outputs,
+            f.drifted_inputs,
+            f.checker_blinded,
+            f.quarantined,
+            f.detected,
+            f.escaped,
+            f.recalibrations,
+            f.fallbacks,
+        ] {
+            ladder.word(count);
+        }
+        self.checker.export_state(&mut out);
         if let Some(zs) = &self.zoo_state {
-            words.push(self.tuner.tier_scale().unwrap_or(1.0).to_bits());
-            words.push(u64::from(zs.pressure));
-            words.push(zs.window_tiers.len() as u64);
-            words.extend_from_slice(&zs.window_tiers);
-            words.extend_from_slice(&zs.stream_tiers);
-            words.push(zs.tier_cycles_total.to_bits());
+            let mut zoo = out.section("zoo");
+            zoo.float(self.tuner.tier_scale().unwrap_or(1.0)).word(u64::from(zs.pressure));
+            zoo.float(zs.tier_cycles_total);
+            for &count in zs.window_tiers.iter().chain(&zs.stream_tiers) {
+                zoo.word(count);
+            }
         }
-        // Refit state rides last, only when armed. The checker's trained
-        // model travels with it: after the first online refit the model
-        // is no longer reproducible from the offline pipeline, so a
-        // restore must transplant the coefficients, not retrain them.
+        // The checker's trained model travels with the refit state: after
+        // the first online refit it is no longer reproducible from the
+        // offline pipeline, so a restore must transplant it, not retrain.
         if let Some(rs) = &self.refit_state {
-            words.push(rs.epoch);
-            words.push(rs.window_audit_sum.to_bits());
-            words.push(rs.window_audit_count as u64);
-            let model = self.checker.export_model().unwrap_or_default();
-            words.push(model.len() as u64);
-            words.extend(model);
-            rs.reservoir.to_words(&mut words);
+            let mut refit = out.section("refit");
+            refit.word(rs.epoch).float(rs.window_audit_sum).word(rs.window_audit_count as u64);
+            let model = self.checker.export_model();
+            refit.flag(model.is_some());
+            if let Some((model, signed)) = &model {
+                refit.stream(model).flag(signed.is_some());
+                if let Some(signed) = signed {
+                    refit.stream(signed);
+                }
+            }
+            rs.reservoir.export(&mut out);
         }
-        words
+        out
     }
 
-    /// Restores streaming state exported by [`RumbaSystem::export_state`]
+    /// Restores streaming state written by [`RumbaSystem::export_state`]
     /// onto an identically configured system (same kernel, checker kind,
-    /// tuning mode, window, and queue configuration). The tuner is rebuilt
-    /// at the exported threshold, so the next `process_routed` behaves
-    /// exactly as it would have on the exporting system.
+    /// tuning mode, window, queue configuration, and armed zoo/refit),
+    /// taking its sections out of `sections`. Every field is checked
+    /// against what the live system can reach — thresholds, band and tier
+    /// scale finite and above zero, the window length below the window
+    /// and the window counters within it, tags in range, counters far
+    /// from overflow — so the restored system tunes, routes and refits
+    /// like the exporting one. The tuner is rebuilt at the exported
+    /// threshold, so the next `process_routed` behaves exactly as it would
+    /// have on the exporting system.
     ///
     /// # Errors
     ///
-    /// Returns a description of the first malformed word when the state
-    /// does not decode for this system's configuration.
-    pub fn import_state(&mut self, words: &[u64]) -> std::result::Result<(), String> {
-        const HEAD: usize = 26;
-        if words.len() < HEAD {
-            return Err(format!("runtime state wants at least {HEAD} words, got {}", words.len()));
+    /// Returns a description of the first malformed field. The system is
+    /// then partly restored and must be discarded.
+    pub fn import_state(&mut self, sections: &mut Sections) -> std::result::Result<(), String> {
+        let mut tuner = sections.take("tuner")?;
+        let threshold = tuner.positive()?;
+        self.initial_threshold = tuner.positive()?;
+        let band = match self.tuner.compensation_band() {
+            Some(_) => Some(tuner.positive()?),
+            None => None,
+        };
+        tuner.end()?;
+        self.tuner = Tuner::new(self.tuner.mode(), threshold).map_err(|e| e.to_string())?;
+        // Restored verbatim, not re-clamped: the exporting tuner already
+        // evolved this band, and re-clamping would change it.
+        self.tuner.set_compensation_band_raw(band);
+
+        let mut window = sections.take("window")?;
+        let len = window.count(self.config.window - 1)?;
+        self.window_len = len;
+        for count in [
+            &mut self.window_fired,
+            &mut self.window_suppressed,
+            &mut self.window_quarantined,
+            &mut self.window_compensated,
+        ] {
+            *count = window.count(len)?;
         }
-        let checker_len = words[25] as usize;
-        // A zoo-armed system expects the routing words after the checker's;
-        // a legacy system expects none. Either mismatch is a hard error —
-        // silently dropping or inventing routing state would fork the
-        // stream from the exporting system.
-        let tier_counts = self.zoo_state.as_ref().map(|zs| zs.window_tiers.len());
-        let zoo_len = tier_counts.map_or(0, |t| 4 + 2 * t);
-        // A refit-armed system expects a variable-length refit tail after
-        // the zoo words; an unarmed one expects the stream to end there.
-        let refit_armed = self.refit_state.is_some();
-        if (refit_armed && words.len() < HEAD + checker_len + zoo_len)
-            || (!refit_armed && words.len() != HEAD + checker_len + zoo_len)
+        let outcomes = self.window_fired
+            + self.window_suppressed
+            + self.window_quarantined
+            + self.window_compensated;
+        window.ensure(outcomes <= len, || format!("{outcomes} row outcomes in {len} rows"))?;
+        self.window_pred_sum = window.float()?;
+        self.window_queue_depth = window.counter()?;
+        self.windows_flushed = window.counter()?;
+        for count in
+            [&mut self.stream_fixes, &mut self.stream_compensations, &mut self.stream_invocations]
         {
-            return Err(format!(
-                "runtime state declares {checker_len} checker words (+{zoo_len} zoo words) \
-                 but carries {}",
-                words.len() - HEAD
-            ));
+            *count = window.counter()? as usize;
         }
-        let zoo_restore = match tier_counts {
-            Some(counts) => {
-                let base = HEAD + checker_len;
-                let scale = f64::from_bits(words[base]);
-                if !(scale > 0.0 && scale.is_finite()) {
-                    return Err(format!("restored tier scale rejected: {scale}"));
-                }
-                let pressure = u32::try_from(words[base + 1])
-                    .map_err(|_| format!("zoo pressure overflows u32: {}", words[base + 1]))?;
-                if words[base + 2] as usize != counts {
-                    return Err(format!(
-                        "zoo tier count mismatch: state has {}, system has {counts}",
-                        words[base + 2]
-                    ));
-                }
-                let window_tiers = words[base + 3..base + 3 + counts].to_vec();
-                let stream_tiers = words[base + 3 + counts..base + 3 + 2 * counts].to_vec();
-                let tier_cycles_total = f64::from_bits(words[base + 3 + 2 * counts]);
-                if !tier_cycles_total.is_finite() || tier_cycles_total < 0.0 {
-                    return Err(format!("restored tier cycles rejected: {tier_cycles_total}"));
-                }
-                Some((scale, pressure, window_tiers, stream_tiers, tier_cycles_total))
+        window.end()?;
+
+        let mut ladder = sections.take("ladder")?;
+        self.stage = [DegradeStage::Normal, DegradeStage::Recalibrated, DegradeStage::CpuFallback]
+            [ladder.count(2)?];
+        self.dirty_windows = ladder.count(u32::MAX as usize / 2)? as u32;
+        let f = &mut self.fault_stats;
+        for count in [
+            &mut f.injected_outputs,
+            &mut f.drifted_inputs,
+            &mut f.checker_blinded,
+            &mut f.quarantined,
+            &mut f.detected,
+            &mut f.escaped,
+            &mut f.recalibrations,
+            &mut f.fallbacks,
+        ] {
+            *count = ladder.counter()?;
+        }
+        ladder.end()?;
+
+        if let Some(zs) = self.zoo_state.as_mut() {
+            let mut zoo = sections.take("zoo")?;
+            self.tuner.set_tier_scale_raw(Some(zoo.positive()?));
+            zs.pressure = zoo.count(MAX_ZOO_PRESSURE as usize)? as u32;
+            zs.tier_cycles_total = zoo.finite()?;
+            zoo.ensure(zs.tier_cycles_total >= 0.0, || "negative tier cycles".to_owned())?;
+            for count in zs.window_tiers.iter_mut().chain(&mut zs.stream_tiers) {
+                *count = zoo.counter()?;
             }
-            None => None,
-        };
-        let threshold = f64::from_bits(words[0]);
-        let mut tuner = Tuner::new(self.tuner.mode(), threshold)
-            .map_err(|e| format!("restored threshold rejected: {e}"))?;
-        let band = match words[21] {
-            0 => None,
-            1 => Some(f64::from_bits(words[22])),
-            flag => return Err(format!("compensation-band flag must be 0|1, got {flag}")),
-        };
-        // Restored verbatim, not re-validated/re-clamped: the exporting
-        // tuner already evolved this band, and re-clamping would change it.
-        tuner.set_compensation_band_raw(band);
-        if let Some((scale, _, _, _, _)) = &zoo_restore {
-            tuner.set_tier_scale_raw(Some(*scale));
+            let routed = zs.window_tiers.iter().sum::<u64>();
+            zoo.ensure(routed <= len as u64, || format!("{routed} routed rows in {len} rows"))?;
+            zoo.end()?;
         }
-        let stage = match words[11] {
-            0 => DegradeStage::Normal,
-            1 => DegradeStage::Recalibrated,
-            2 => DegradeStage::CpuFallback,
-            tag => return Err(format!("degrade stage tag must be 0|1|2, got {tag}")),
-        };
-        let dirty_windows = u32::try_from(words[12])
-            .map_err(|_| format!("dirty_windows overflows u32: {}", words[12]))?;
-        let refit_restore = match &self.refit_state {
-            Some(rs) => {
-                let mut pos = HEAD + checker_len + zoo_len;
-                let take = |words: &[u64], pos: &mut usize, what: &str| {
-                    let w =
-                        words.get(*pos).copied().ok_or(format!("refit words ended at {what}"))?;
-                    *pos += 1;
-                    Ok::<u64, String>(w)
-                };
-                let epoch = take(words, &mut pos, "epoch")?;
-                let audit_sum = f64::from_bits(take(words, &mut pos, "audit sum")?);
-                if !audit_sum.is_finite() {
-                    return Err(format!("restored audit sum rejected: {audit_sum}"));
-                }
-                let audit_count = take(words, &mut pos, "audit count")? as usize;
-                let model_len = take(words, &mut pos, "model length")? as usize;
-                if model_len > words.len().saturating_sub(pos) {
-                    return Err(format!("refit model claims {model_len} words, stream ran out"));
-                }
-                let model = words[pos..pos + model_len].to_vec();
-                pos += model_len;
-                let reservoir = Reservoir::from_words(rs.cfg.capacity, words, &mut pos)?;
-                if pos != words.len() {
-                    return Err(format!(
-                        "{} trailing words after the refit tail",
-                        words.len() - pos
-                    ));
-                }
-                Some((epoch, audit_sum, audit_count, model, reservoir))
+        // The trained model lands before the checker's online state: a
+        // refitted tree/signed pair changes the checker's configuration
+        // fingerprint, which the checker section is verified against.
+        if let Some(rs) = self.refit_state.as_mut() {
+            let mut refit = sections.take("refit")?;
+            rs.epoch = refit.counter()?;
+            rs.window_audit_sum = refit.finite()?;
+            rs.window_audit_count = refit.count(len)?;
+            if refit.flag()? {
+                let model = refit.stream()?;
+                let signed = if refit.flag()? { Some(refit.stream()?) } else { None };
+                self.checker.import_model(self.npu.input_dim(), &model, signed.as_deref())?;
             }
-            None => None,
-        };
-        // The trained model must land before the checker's online words:
-        // a refitted tree/signed pair changes the state-config
-        // fingerprint, and import_state verifies it.
-        if let Some((_, _, _, model, _)) = &refit_restore {
-            if !model.is_empty() {
-                self.checker.import_model(model)?;
-            }
+            refit.end()?;
+            let dims = (self.npu.input_dim(), self.npu.output_dim());
+            rs.reservoir = Reservoir::import(rs.cfg.capacity, dims, sections)?;
         }
-        self.checker.import_state(&words[HEAD..HEAD + checker_len])?;
-        self.tuner = tuner;
-        self.initial_threshold = f64::from_bits(words[1]);
-        self.window_fired = words[2] as usize;
-        self.window_suppressed = words[3] as usize;
-        self.window_pred_sum = f64::from_bits(words[4]);
-        self.window_len = words[5] as usize;
-        self.window_queue_depth = words[6];
-        self.window_quarantined = words[7] as usize;
-        self.windows_flushed = words[8];
-        self.stream_fixes = words[9] as usize;
-        self.stream_invocations = words[10] as usize;
-        self.window_compensated = words[23] as usize;
-        self.stream_compensations = words[24] as usize;
-        self.stage = stage;
-        self.dirty_windows = dirty_windows;
-        self.fault_stats = FaultStats {
-            injected_outputs: words[13],
-            drifted_inputs: words[14],
-            checker_blinded: words[15],
-            quarantined: words[16],
-            detected: words[17],
-            escaped: words[18],
-            recalibrations: words[19],
-            fallbacks: words[20],
-        };
-        if let Some((_, pressure, window_tiers, stream_tiers, tier_cycles_total)) = zoo_restore {
-            let zs = self.zoo_state.as_mut().expect("tier_counts came from zoo_state");
-            zs.pressure = pressure.min(MAX_ZOO_PRESSURE);
-            zs.window_tiers = window_tiers;
-            zs.stream_tiers = stream_tiers;
-            zs.tier_cycles_total = tier_cycles_total;
-        }
-        if let Some((epoch, audit_sum, audit_count, _, reservoir)) = refit_restore {
-            let rs = self.refit_state.as_mut().expect("refit_restore came from refit_state");
-            rs.epoch = epoch;
-            rs.window_audit_sum = audit_sum;
-            rs.window_audit_count = audit_count;
-            rs.reservoir = reservoir;
-        }
-        Ok(())
+        self.checker.import_state(sections)
     }
 
     /// Resets streaming state for a fresh invocation stream (clears the
@@ -1979,11 +1923,12 @@ mod tests {
             head.process(kernel.as_ref(), test.input(i), &mut buf).unwrap();
             merged.extend_from_slice(&buf);
         }
-        let words = head.export_state();
+        let mut words = head.export_state();
 
         let (_, mut tail, _) = build_system(TuningMode::TargetQuality { toq: 0.95 });
         tail.begin_stream();
-        tail.import_state(&words).unwrap();
+        tail.import_state(&mut words).unwrap();
+        assert_eq!(words.finish(), Ok(()), "every section was read");
         // The NPU's fault stream is keyed on stream position, which
         // `import_state` restored via `stream_invocations`; continue.
         for i in cut..test.len() {
@@ -2000,15 +1945,46 @@ mod tests {
     }
 
     #[test]
-    fn import_state_rejects_malformed_words() {
+    fn import_state_validates_every_section() {
         let (_, mut system, _) = build_system(TuningMode::BestQuality);
-        assert!(system.import_state(&[0; 5]).is_err());
-        let mut words = system.export_state();
-        words[11] = 9; // invalid degrade-stage tag
-        assert!(system.import_state(&words).is_err());
-        let mut truncated = system.export_state();
-        truncated.pop();
-        assert!(system.import_state(&truncated).is_err());
+        let state = system.export_state();
+        let edited = |target: &str, edit: &dyn Fn(&mut Vec<u64>)| {
+            let mut out = Sections::default();
+            for (name, words) in state.iter() {
+                let mut words = words.to_vec();
+                if name == target {
+                    edit(&mut words);
+                }
+                let mut section = out.section(name);
+                for word in words {
+                    section.word(word);
+                }
+            }
+            out
+        };
+        assert!(system.import_state(&mut edited("", &|_| {})).is_ok());
+        assert!(system.import_state(&mut Sections::default()).is_err());
+        let window = RuntimeConfig::default().window as u64;
+        let nan = f64::NAN.to_bits();
+        for (section, index, word) in [
+            ("tuner", 0, nan),                  // threshold
+            ("tuner", 1, 0),                    // calibration anchor
+            ("window", 0, window),              // a window that would never close
+            ("window", 1, 1),                   // fired rows in an empty window
+            ("window", 7, u64::MAX),            // windows flushed, about to overflow
+            ("ladder", 0, 3),                   // degrade-stage tag
+            ("ladder", 1, u64::from(u32::MAX)), // dirty windows
+            ("checker", 1, 7),                  // configuration fingerprint
+        ] {
+            let mut bad = edited(section, &|words| words[index] = word);
+            assert!(system.import_state(&mut bad).is_err(), "{section}[{index}] = {word:#x}");
+        }
+        for section in ["tuner", "window", "ladder", "checker"] {
+            let mut short = edited(section, &|words| words.truncate(words.len() - 1));
+            assert!(system.import_state(&mut short).is_err(), "truncated {section}");
+            let mut long = edited(section, &|words| words.push(0));
+            assert!(system.import_state(&mut long).is_err(), "padded {section}");
+        }
     }
 
     #[test]
@@ -2232,11 +2208,11 @@ mod tests {
             head.process(kernel.as_ref(), test.input(i), &mut buf).unwrap();
             merged.extend_from_slice(&buf);
         }
-        let words = head.export_state();
+        let mut words = head.export_state();
 
         let mut tail = build();
         tail.begin_stream();
-        tail.import_state(&words).unwrap();
+        tail.import_state(&mut words).unwrap();
         assert_eq!(tail.tuner().compensation_band(), head.tuner().compensation_band());
         for i in cut..test.len() {
             tail.process(kernel.as_ref(), test.input(i), &mut buf).unwrap();

@@ -137,20 +137,15 @@ pub fn train_app_with_cache(
     let topologies = (rumba_topo.as_slice(), npu_topo.as_slice());
 
     if let Some(cached) = cache.load(kernel.name(), topologies, cfg, &nn_params) {
-        // The cached config-words are bit-exact, so everything derived
-        // from them below matches a fresh training run exactly. Signed
-        // fits are not part of the cache codec: they are refit here, which
-        // is deterministic because the batched replay is bit-exact.
-        let rumba_npu = Npu::new(cached.rumba_model, cfg.npu_params);
-        let baseline_npu = Npu::new(cached.baseline_model, cfg.npu_params);
-        let (linear, tree) =
-            attach_signed_fits(&rumba_npu, &train, cfg, cached.linear, cached.tree)?;
+        // The cached config-words, signed companions included, are
+        // bit-exact, so everything derived from them below matches a fresh
+        // training run exactly.
         return Ok(TrainedApp {
             name: kernel.name().to_owned(),
-            rumba_npu,
-            baseline_npu,
-            linear,
-            tree,
+            rumba_npu: Npu::new(cached.rumba_model, cfg.npu_params),
+            baseline_npu: Npu::new(cached.baseline_model, cfg.npu_params),
+            linear: cached.linear,
+            tree: cached.tree,
             evp: cached.evp,
             ema_window: cfg.ema_window,
             train_errors: cached.train_errors,
@@ -181,8 +176,6 @@ pub fn train_app_with_cache(
     let linear = LinearErrors::train(&rows, &train_errors, cfg.ridge)?;
     let tree = TreeErrors::train(&rows, &train_errors, &cfg.tree_params)?;
     let evp = EvpErrors::train(&rows, &exact_rows, cfg.ridge)?;
-    // The magnitude models above go in the cache; signed fits ride outside
-    // it (see the cache-hit path) so stored entries stay format-stable.
     let (linear, tree) = attach_signed_fits(&rumba_npu, &train, cfg, linear, tree)?;
 
     cache.store(
@@ -216,8 +209,8 @@ pub fn train_app_with_cache(
 /// attaches them to the magnitude checkers. The target is the per-row mean
 /// signed output error, `mean_j(approx[j] − exact[j])`, observed by
 /// replaying the accelerator over the train split — the same replay the
-/// magnitude targets came from, so the fit is deterministic on both the
-/// fresh and cache-hit paths.
+/// magnitude targets came from. The cache stores the result, so a cache
+/// hit never refits.
 fn attach_signed_fits(
     rumba_npu: &Npu,
     train: &NnDataset,
@@ -316,7 +309,7 @@ mod tests {
         assert!(fresh.linear.signed_model().is_some());
         assert!(fresh.tree.signed_tree().is_some());
 
-        // The cache-hit path refits the signed models deterministically.
+        // The cache-hit path decodes the stored signed models bit for bit.
         let cached = train_app_with_cache(kernel.as_ref(), &cfg, &cache).unwrap();
         let probe = kernel.generate(rumba_apps::Split::Test, 42);
         for i in (0..probe.len()).step_by(97) {

@@ -16,6 +16,7 @@ use rumba_core::trainer::{train_app, OfflineConfig, TrainedApp};
 use rumba_core::tuner::{Tuner, TuningMode};
 use rumba_faults::FaultModel;
 use rumba_nn::NnDataset;
+use rumba_predict::Sections;
 
 fn trained() -> &'static TrainedApp {
     static APP: OnceLock<TrainedApp> = OnceLock::new();
@@ -70,7 +71,7 @@ struct StreamedRun {
     recalibrations: u64,
     fallbacks: u64,
     refit_epoch: u64,
-    reservoir_words: Vec<u64>,
+    reservoir: Sections,
     /// Mean exact-vs-merged error over the drifted half of the stream.
     tail_error: f64,
 }
@@ -106,9 +107,9 @@ fn stream_run(system: &mut RumbaSystem, scenario: Scenario, seed: u64, n: usize)
         .sum::<f64>()
         / (n - tail) as f64;
 
-    let mut reservoir_words = Vec::new();
+    let mut reservoir = Sections::default();
     if let Some(r) = system.refit_reservoir() {
-        r.to_words(&mut reservoir_words);
+        r.export(&mut reservoir);
     }
     StreamedRun {
         merged,
@@ -118,7 +119,7 @@ fn stream_run(system: &mut RumbaSystem, scenario: Scenario, seed: u64, n: usize)
         recalibrations: system.fault_stats().recalibrations,
         fallbacks: system.fault_stats().fallbacks,
         refit_epoch: system.refit_epoch(),
-        reservoir_words,
+        reservoir,
         tail_error,
     }
 }
@@ -208,7 +209,7 @@ fn refit_on_streams_are_bit_identical_across_threads_and_simd() {
                         "threads {threads} simd {simd:?}: threshold trajectory diverged"
                     );
                     assert_eq!(
-                        run.reservoir_words, want.reservoir_words,
+                        run.reservoir, want.reservoir,
                         "threads {threads} simd {simd:?}: reservoir diverged"
                     );
                     assert_eq!(run.refit_epoch, want.refit_epoch);
@@ -325,7 +326,9 @@ fn mid_refit_snapshot_restores_bit_for_bit_and_continues_identically() {
     let mut resumed = build_system(true);
     resumed.set_fault_plan(stream.fault_plan());
     resumed.begin_stream();
-    resumed.import_state(&words).unwrap();
+    let mut taken = words.clone();
+    resumed.import_state(&mut taken).unwrap();
+    assert_eq!(taken.finish(), Ok(()), "every section was read");
     assert_eq!(resumed.refit_epoch(), origin.refit_epoch());
     assert_eq!(resumed.export_state(), words, "re-export must be bit-identical");
 
@@ -363,7 +366,7 @@ proptest! {
         prop_assert_eq!(run_a.refit_epoch, run_b.refit_epoch);
         prop_assert_eq!(bits(&run_a.threshold_history), bits(&run_b.threshold_history));
         prop_assert_eq!(bits(&run_a.merged), bits(&run_b.merged));
-        prop_assert_eq!(run_a.reservoir_words, run_b.reservoir_words);
+        prop_assert_eq!(run_a.reservoir, run_b.reservoir);
         prop_assert_eq!(run_a.stage, run_b.stage);
     }
 }

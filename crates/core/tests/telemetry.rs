@@ -1,9 +1,11 @@
 //! End-to-end telemetry contract tests.
 //!
-//! The global sink is process-wide state, so every test here serializes on
-//! one mutex and restores the disabled [`NullSink`] before releasing it;
-//! they live in their own integration-test binary so no unrelated
-//! concurrent test can emit into (or observe) an installed sink.
+//! The global sink is process-wide state, so every test here holds one
+//! mutex for its whole body — training, calibration and uninstrumented
+//! runs emit too, and must never land in a sink another test installed —
+//! and restores the disabled [`NullSink`] before releasing it; they live
+//! in their own integration-test binary so no unrelated concurrent test
+//! can emit into (or observe) an installed sink.
 
 use std::sync::{Arc, Mutex, MutexGuard};
 
@@ -18,11 +20,14 @@ use rumba_predict::ErrorEstimator;
 
 static SINK_LOCK: Mutex<()> = Mutex::new(());
 
+/// Takes the lock every test holds for its whole body.
+fn serialized() -> MutexGuard<'static, ()> {
+    SINK_LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
 /// Installs a fresh [`MemorySink`] for the duration of `f`, then restores
-/// the disabled default. The returned guard's lock serializes the tests.
-fn with_memory_sink<R>(f: impl FnOnce() -> R) -> (Vec<Event>, R) {
-    let _guard: MutexGuard<'_, ()> =
-        SINK_LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+/// the disabled default; only a caller holding [`serialized`] may.
+fn with_memory_sink<R>(_serial: &MutexGuard<'_, ()>, f: impl FnOnce() -> R) -> (Vec<Event>, R) {
     let sink = Arc::new(MemorySink::new());
     rumba_obs::set_global_sink(sink.clone());
     let result = f();
@@ -50,13 +55,15 @@ fn build_system(mode: TuningMode) -> (Box<dyn rumba_apps::Kernel>, RumbaSystem) 
 
 #[test]
 fn run_emits_one_window_end_per_window_and_accounts_every_fix() {
+    let serial = serialized();
     // Train outside the instrumented section so cache probes from the
     // offline pipeline don't mix into the stream under test.
     let (kernel, mut system) = build_system(TuningMode::TargetQuality { toq: 0.95 });
     let test = kernel.generate(Split::Test, 42);
     let window = RuntimeConfig::default().window;
 
-    let (events, outcome) = with_memory_sink(|| system.run(kernel.as_ref(), &test).unwrap());
+    let (events, outcome) =
+        with_memory_sink(&serial, || system.run(kernel.as_ref(), &test).unwrap());
 
     let windows: Vec<&Event> =
         events.iter().filter(|e| matches!(e, Event::WindowEnd { .. })).collect();
@@ -99,19 +106,23 @@ fn run_emits_one_window_end_per_window_and_accounts_every_fix() {
 
 #[test]
 fn telemetry_never_perturbs_the_run_outcome() {
+    let serial = serialized();
     let (kernel, mut observed_system) = build_system(TuningMode::TargetQuality { toq: 0.95 });
     let (_, mut silent_system) = build_system(TuningMode::TargetQuality { toq: 0.95 });
     let test = kernel.generate(Split::Test, 42);
 
     let silent: RunOutcome = silent_system.run(kernel.as_ref(), &test).unwrap();
-    let (_, observed) = with_memory_sink(|| observed_system.run(kernel.as_ref(), &test).unwrap());
+    let (_, observed) =
+        with_memory_sink(&serial, || observed_system.run(kernel.as_ref(), &test).unwrap());
     assert_eq!(observed, silent, "sink must be purely observational");
 }
 
 #[test]
 fn calibration_emits_a_sanitization_event() {
-    let (events, cal) =
-        with_memory_sink(|| calibrate_threshold_detailed(&[0.4, f64::NAN], &[0.4, 0.4], 0.05));
+    let serial = serialized();
+    let (events, cal) = with_memory_sink(&serial, || {
+        calibrate_threshold_detailed(&[0.4, f64::NAN], &[0.4, 0.4], 0.05)
+    });
     assert_eq!(cal.sanitized, 1);
     let matching = events
         .iter()
@@ -122,6 +133,7 @@ fn calibration_emits_a_sanitization_event() {
 
 #[test]
 fn cache_probes_emit_hit_and_miss_events() {
+    let serial = serialized();
     let kernel = kernel_by_name("gaussian").unwrap();
     let dir = std::env::temp_dir().join(format!("rumba-obs-cache-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
@@ -132,7 +144,7 @@ fn cache_probes_emit_hit_and_miss_events() {
     let topologies = (rumba_topo.as_slice(), npu_topo.as_slice());
     let nn_params = nn_params_for(kernel.as_ref());
 
-    let (events, loaded) = with_memory_sink(|| {
+    let (events, loaded) = with_memory_sink(&serial, || {
         // First training probes the empty cache (miss), then stores; the
         // explicit load afterwards hits.
         let _ = train_app_with_cache(kernel.as_ref(), &cfg, &cache).unwrap();

@@ -137,7 +137,9 @@ impl FaultPlan {
     /// | `queue_pressure=START:SLOTS` | [`FaultModel::QueuePressure`] |
     ///
     /// An empty (or all-whitespace) spec parses to an empty plan, which
-    /// every attachment point normalizes to "no plan".
+    /// every attachment point normalizes to "no plan". The plan's
+    /// [`Display`](std::fmt::Display) form is the canonical spec: it
+    /// parses back to the identical plan, bit for bit.
     ///
     /// # Errors
     ///
@@ -164,7 +166,8 @@ impl FaultPlan {
                 }
             };
             let num = |s: &str| -> Result<f64, String> {
-                s.parse().map_err(|e| format!("'{entry}': bad number '{s}' ({e})"))
+                let v: f64 = s.parse().map_err(|e| format!("'{entry}': bad number '{s}' ({e})"))?;
+                v.is_finite().then_some(v).ok_or_else(|| format!("'{entry}': {v} is not finite"))
             };
             let index = |s: &str| -> Result<usize, String> {
                 s.parse().map_err(|e| format!("'{entry}': bad index '{s}' ({e})"))
@@ -364,6 +367,28 @@ impl FaultPlan {
     }
 }
 
+/// The canonical spec [`FaultPlan::parse`] reads back bit for bit (the
+/// seed is not part of it): entries joined by `,` in slot order, floats in
+/// Rust's shortest round-trip form.
+impl std::fmt::Display for FaultPlan {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        for (slot, model) in self.models.iter().enumerate() {
+            write!(f, "{}{}=", if slot == 0 { "" } else { "," }, model.kind())?;
+            match *model {
+                FaultModel::BitFlip { rate: r }
+                | FaultModel::NonFinite { rate: r }
+                | FaultModel::CheckerBlind { rate: r } => write!(f, "{r}")?,
+                FaultModel::StuckAt { start, value } => write!(f, "{start}:{value}")?,
+                FaultModel::InputDrift { start, ramp, magnitude: m } => {
+                    write!(f, "{start}:{ramp}:{m}")?
+                }
+                FaultModel::QueuePressure { start, slots } => write!(f, "{start}:{slots}")?,
+            }
+        }
+        Ok(())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -415,6 +440,56 @@ mod tests {
         ] {
             assert!(FaultPlan::parse(0, bad).is_err(), "accepted {bad:?}");
         }
+    }
+
+    #[test]
+    fn rejects_non_finite_values_and_magnitudes() {
+        for bad in [
+            "input_drift=0:1:NaN",
+            "input_drift=0:1:inf",
+            "stuck_at=3:-inf",
+            "stuck_at=3:nan",
+            "stuck_at=3:1e999",
+            "bit_flip=NaN",
+        ] {
+            assert!(FaultPlan::parse(0, bad).is_err(), "accepted {bad:?}");
+        }
+    }
+
+    #[test]
+    fn display_is_a_canonical_spec_that_round_trips_bit_for_bit() {
+        let plan = all_models()
+            .into_iter()
+            .fold(FaultPlan::new(3), FaultPlan::with)
+            .with(FaultModel::StuckAt { start: 0, value: -0.0 })
+            .with(FaultModel::InputDrift { start: 1, ramp: 0, magnitude: 1e-300 })
+            .with(FaultModel::BitFlip { rate: 0.1 + 0.2 });
+        let spec = plan.to_string();
+        assert!(
+            spec.bytes().all(
+                |b| matches!(b, b'a'..=b'z' | b'0'..=b'9' | b'=' | b':' | b',' | b'.' | b'_' | b'-')
+            ),
+            "{spec}"
+        );
+        let back = FaultPlan::parse(3, &spec).unwrap();
+        assert_eq!(back.to_string(), spec);
+        let bits = |p: &FaultPlan| {
+            format!(
+                "{:?}",
+                p.models()
+                    .iter()
+                    .map(|m| match *m {
+                        FaultModel::StuckAt { value, .. } => value.to_bits(),
+                        FaultModel::InputDrift { magnitude, .. } => magnitude.to_bits(),
+                        FaultModel::BitFlip { rate } => rate.to_bits(),
+                        _ => 0,
+                    })
+                    .collect::<Vec<_>>()
+            )
+        };
+        assert_eq!(back, plan);
+        assert_eq!(bits(&back), bits(&plan));
+        assert_eq!(FaultPlan::new(9).to_string(), "");
     }
 
     #[test]

@@ -11,6 +11,11 @@
 //!   preorder.
 //! - EVP: `[EVP_MAGIC, n_models, eps, models...]` with each value model as
 //!   `[n_weights, weights..., bias]`.
+//!
+//! A checker's signed companion (the compensation path's model) travels
+//! in the same format as a second stream ([`encode_linear_model`],
+//! [`encode_tree_model`]); the deployment image carries only the magnitude
+//! model.
 
 use crate::tree::{DecisionTree, TreeNodeWord};
 use crate::{EvpErrors, LinearErrors, LinearModel, PredictError, Result, TreeErrors};
@@ -37,11 +42,7 @@ pub const EVP_MAGIC: f64 = 0x45_56_50 as f64; // "EVP"
 /// ```
 #[must_use]
 pub fn encode_linear(checker: &LinearErrors) -> Vec<f64> {
-    let model = checker.model();
-    let mut words = vec![LINEAR_MAGIC, model.weights().len() as f64];
-    words.extend_from_slice(model.weights());
-    words.push(model.bias());
-    words
+    encode_linear_model(checker.model())
 }
 
 /// Reconstructs a linear checker from [`encode_linear`] output.
@@ -51,6 +52,20 @@ pub fn encode_linear(checker: &LinearErrors) -> Vec<f64> {
 /// Returns [`PredictError::ShapeMismatch`] for a truncated or oversized
 /// stream and [`PredictError::InvalidParam`] for a bad magic word.
 pub fn decode_linear(words: &[f64]) -> Result<LinearErrors> {
+    decode_linear_model(words).map(LinearErrors::from_model)
+}
+
+/// [`encode_linear`] for a bare affine model (a signed companion).
+#[must_use]
+pub fn encode_linear_model(model: &LinearModel) -> Vec<f64> {
+    let mut words = vec![LINEAR_MAGIC, model.weights().len() as f64];
+    words.extend_from_slice(model.weights());
+    words.push(model.bias());
+    words
+}
+
+/// Inverse of [`encode_linear_model`]; fails as [`decode_linear`] does.
+pub fn decode_linear_model(words: &[f64]) -> Result<LinearModel> {
     if words.first() != Some(&LINEAR_MAGIC) {
         return Err(PredictError::InvalidParam {
             name: "linear magic",
@@ -65,13 +80,29 @@ pub fn decode_linear(words: &[f64]) -> Result<LinearErrors> {
     }
     let weights = words[2..2 + n].to_vec();
     let bias = words[2 + n];
-    Ok(LinearErrors::from_model(LinearModel::from_parts(weights, bias)))
+    Ok(LinearModel::from_parts(weights, bias))
 }
 
 /// Serializes a tree checker: preorder node stream.
 #[must_use]
 pub fn encode_tree(checker: &TreeErrors) -> Vec<f64> {
-    let node_words = checker.tree().to_node_words();
+    encode_tree_model(checker.tree())
+}
+
+/// Reconstructs a tree checker from [`encode_tree`] output.
+///
+/// # Errors
+///
+/// Returns [`PredictError::InvalidParam`] for bad magic/tags and
+/// [`PredictError::ShapeMismatch`] for malformed streams.
+pub fn decode_tree(words: &[f64]) -> Result<TreeErrors> {
+    decode_tree_model(words).map(TreeErrors::from_tree)
+}
+
+/// [`encode_tree`] for a bare decision tree (a signed companion).
+#[must_use]
+pub fn encode_tree_model(tree: &DecisionTree) -> Vec<f64> {
+    let node_words = tree.to_node_words();
     let mut words = vec![TREE_MAGIC, node_words.len() as f64];
     for node in node_words {
         match node {
@@ -89,13 +120,8 @@ pub fn encode_tree(checker: &TreeErrors) -> Vec<f64> {
     words
 }
 
-/// Reconstructs a tree checker from [`encode_tree`] output.
-///
-/// # Errors
-///
-/// Returns [`PredictError::InvalidParam`] for bad magic/tags and
-/// [`PredictError::ShapeMismatch`] for malformed streams.
-pub fn decode_tree(words: &[f64]) -> Result<TreeErrors> {
+/// Inverse of [`encode_tree_model`]; fails as [`decode_tree`] does.
+pub fn decode_tree_model(words: &[f64]) -> Result<DecisionTree> {
     if words.first() != Some(&TREE_MAGIC) {
         return Err(PredictError::InvalidParam {
             name: "tree magic",
@@ -103,7 +129,7 @@ pub fn decode_tree(words: &[f64]) -> Result<TreeErrors> {
         });
     }
     let n_nodes = count(words.get(1))?;
-    let mut nodes = Vec::with_capacity(n_nodes);
+    let mut nodes = Vec::with_capacity(n_nodes.min(words.len()));
     let mut pos = 2usize;
     for _ in 0..n_nodes {
         let tag = *words.get(pos).ok_or_else(|| truncated(words.len()))?;
@@ -133,7 +159,7 @@ pub fn decode_tree(words: &[f64]) -> Result<TreeErrors> {
             detail: format!("tree stream has {} trailing words", words.len() - pos),
         });
     }
-    Ok(TreeErrors::from_tree(DecisionTree::from_node_words(&nodes)?))
+    DecisionTree::from_node_words(&nodes)
 }
 
 /// Serializes an EVP checker: one value model per output element plus the
@@ -164,7 +190,7 @@ pub fn decode_evp(words: &[f64]) -> Result<EvpErrors> {
     }
     let n_models = count(words.get(1))?;
     let eps = *words.get(2).ok_or_else(|| truncated(words.len()))?;
-    let mut models = Vec::with_capacity(n_models);
+    let mut models = Vec::with_capacity(n_models.min(words.len()));
     let mut pos = 3usize;
     for _ in 0..n_models {
         let n = count(words.get(pos))?;

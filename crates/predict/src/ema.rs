@@ -6,7 +6,7 @@
 //! offline training, but it can only run after the accelerator produces its
 //! output (§3.5).
 
-use crate::{CheckerCost, ErrorEstimator, PredictError, Result};
+use crate::{CheckerCost, ErrorEstimator, PredictError, Result, Sections};
 
 /// The `EMA` checker.
 ///
@@ -174,45 +174,28 @@ impl ErrorEstimator for EmaDetector {
         self.skipped_non_finite = 0;
     }
 
-    fn export_state(&self) -> Vec<u64> {
-        // (flag, bits) per slot: a NaN sentinel could not distinguish
-        // "never seen" from a genuinely poisoned average, so seededness is
-        // its own word. The skip counter rides along at the end.
-        let mut words = Vec::with_capacity(2 * self.state.len() + 1);
+    fn export_state(&self, out: &mut Sections) {
+        // A flag per slot, then the average only when seeded: a NaN
+        // sentinel could not tell "never seen" from a poisoned average.
+        let mut ema = out.section("ema");
         for slot in &self.state {
-            match slot {
-                Some(ema) => {
-                    words.push(1);
-                    words.push(ema.to_bits());
-                }
-                None => {
-                    words.push(0);
-                    words.push(0);
-                }
+            ema.flag(slot.is_some());
+            if let Some(avg) = slot {
+                ema.float(*avg);
             }
         }
-        words.push(self.skipped_non_finite);
-        words
+        ema.word(self.skipped_non_finite);
     }
 
-    fn import_state(&mut self, words: &[u64]) -> std::result::Result<(), String> {
-        let expect = 2 * self.state.len() + 1;
-        if words.len() != expect {
-            return Err(format!(
-                "EMA state wants {expect} words for {} slots, got {}",
-                self.state.len(),
-                words.len()
-            ));
+    fn import_state(&mut self, sections: &mut Sections) -> std::result::Result<(), String> {
+        // Averages are taken as any bit pattern: whatever the live
+        // recurrence reached, poisoned or not, must restore.
+        let mut ema = sections.take("ema")?;
+        for slot in &mut self.state {
+            *slot = if ema.flag()? { Some(ema.float()?) } else { None };
         }
-        for (i, slot) in self.state.iter_mut().enumerate() {
-            *slot = match words[2 * i] {
-                0 => None,
-                1 => Some(f64::from_bits(words[2 * i + 1])),
-                flag => return Err(format!("EMA slot {i} flag must be 0|1, got {flag}")),
-            };
-        }
-        self.skipped_non_finite = words[expect - 1];
-        Ok(())
+        self.skipped_non_finite = ema.counter()?;
+        ema.end()
     }
 
     fn is_input_based(&self) -> bool {
@@ -264,10 +247,19 @@ mod tests {
         let mut ema = EmaDetector::new(5, 3).unwrap();
         let _ = ema.estimate(&[], &[0.3, f64::NAN, 0.9]);
         let _ = ema.estimate(&[], &[0.7, 0.1, 1.1]);
-        let words = ema.export_state();
+        let mut sections = Sections::default();
+        ema.export_state(&mut sections);
         let mut fresh = EmaDetector::new(5, 3).unwrap();
-        fresh.import_state(&words).unwrap();
+        fresh.import_state(&mut sections.clone()).unwrap();
         assert_eq!(fresh, ema);
+        // A poisoned average restores bit for bit too.
+        let mut poisoned = EmaDetector::new(5, 1).unwrap();
+        poisoned.state[0] = Some(f64::NAN);
+        let mut words = Sections::default();
+        poisoned.export_state(&mut words);
+        let mut back = EmaDetector::new(5, 1).unwrap();
+        back.import_state(&mut words).unwrap();
+        assert!(back.current(0).unwrap().is_nan());
         // The restored detector scores the next sample identically.
         let next = [0.4, 0.2, 0.8];
         assert_eq!(ema.estimate(&[], &next).to_bits(), fresh.estimate(&[], &next).to_bits());
@@ -276,8 +268,20 @@ mod tests {
     #[test]
     fn import_rejects_malformed_words() {
         let mut ema = EmaDetector::new(4, 2).unwrap();
-        assert!(ema.import_state(&[1, 0, 0]).is_err()); // wrong length
-        assert!(ema.import_state(&[2, 0, 0, 0, 0]).is_err()); // bad flag
+        let section = |words: &[u64]| {
+            let mut sections = Sections::default();
+            let mut w = sections.section("ema");
+            for &word in words {
+                w.word(word);
+            }
+            sections
+        };
+        assert!(ema.import_state(&mut section(&[0, 0, 0])).is_ok());
+        assert!(ema.import_state(&mut section(&[1, 0, 0])).is_err()); // too short
+        assert!(ema.import_state(&mut section(&[0, 0, 0, 0])).is_err()); // unread word
+        assert!(ema.import_state(&mut section(&[2, 0, 0])).is_err()); // bad flag
+        assert!(ema.import_state(&mut section(&[0, 0, u64::MAX])).is_err()); // counter
+        assert!(ema.import_state(&mut Sections::default()).is_err()); // missing
     }
 
     #[test]

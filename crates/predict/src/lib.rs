@@ -32,6 +32,7 @@
 //! assert!(tree.estimate(&[0.5], &[]) < 0.2);
 //! ```
 
+pub mod codec;
 mod config_words;
 mod cost;
 mod ema;
@@ -45,9 +46,11 @@ mod tree;
 use std::error::Error;
 use std::fmt;
 
+pub use codec::Sections;
 pub use config_words::{
-    decode_evp, decode_linear, decode_tree, encode_evp, encode_linear, encode_tree, EVP_MAGIC,
-    LINEAR_MAGIC, TREE_MAGIC,
+    decode_evp, decode_linear, decode_linear_model, decode_tree, decode_tree_model, encode_evp,
+    encode_linear, encode_linear_model, encode_tree, encode_tree_model, EVP_MAGIC, LINEAR_MAGIC,
+    TREE_MAGIC,
 };
 pub use cost::CheckerCost;
 pub use ema::EmaDetector;
@@ -174,30 +177,25 @@ pub trait ErrorEstimator: fmt::Debug + Send {
     /// Clears any online state. Stateless estimators need not override.
     fn reset(&mut self) {}
 
-    /// Serializes the estimator's *online* state (not its trained
-    /// coefficients) as plain `u64` config-words — the currency of the
-    /// serving layer's session snapshots. Stateless estimators (linear,
-    /// tree, EVP: everything they know is in the trained model) return an
-    /// empty word list; only online detectors like the EMA override.
-    fn export_state(&self) -> Vec<u64> {
-        Vec::new()
+    /// Writes the estimator's *online* state (not its trained
+    /// coefficients) as its own named section of a session snapshot.
+    /// Stateless estimators (linear, tree, EVP: everything they know is in
+    /// the trained model) write nothing; only online detectors like the
+    /// EMA override.
+    fn export_state(&self, out: &mut Sections) {
+        let _ = out;
     }
 
-    /// Restores state previously produced by
-    /// [`ErrorEstimator::export_state`] on an identically configured
-    /// estimator, bit for bit.
+    /// Restores state written by [`ErrorEstimator::export_state`] on an
+    /// identically configured estimator, bit for bit.
     ///
     /// # Errors
     ///
-    /// Returns a description of the mismatch when `words` does not decode
-    /// for this estimator's configuration. Stateless estimators accept
-    /// only an empty word list.
-    fn import_state(&mut self, words: &[u64]) -> std::result::Result<(), String> {
-        if words.is_empty() {
-            Ok(())
-        } else {
-            Err(format!("{} carries no online state, got {} words", self.name(), words.len()))
-        }
+    /// Returns a description of the mismatch when the estimator's section
+    /// is missing or does not decode for its configuration.
+    fn import_state(&mut self, sections: &mut Sections) -> std::result::Result<(), String> {
+        let _ = sections;
+        Ok(())
     }
 
     /// Re-fits the estimator's *trained* model — and its signed companion —
@@ -227,29 +225,33 @@ pub trait ErrorEstimator: fmt::Debug + Send {
         Err(format!("{} does not support online refit", self.name()))
     }
 
-    /// Serializes the estimator's *trained* model (coefficients or tree
-    /// nodes, plus the signed companion) as `u64` config-words, so a
-    /// session snapshot can migrate a checker that was re-fitted online —
-    /// [`ErrorEstimator::export_state`] deliberately covers only online
-    /// state and assumes the trained model is reproducible from the
-    /// offline pipeline, which stops being true after the first
-    /// [`ErrorEstimator::refit`]. Returns `None` for estimators without
-    /// refit support (their trained state never diverges from offline
-    /// training).
-    fn export_model_words(&self) -> Option<Vec<u64>> {
+    /// The estimator's *trained* model and its signed companion (when
+    /// attached) as config-queue streams ([`encode_linear_model`],
+    /// [`encode_tree_model`]), so a session snapshot can migrate a checker
+    /// that was re-fitted online — [`ErrorEstimator::export_state`] covers
+    /// only online state and assumes the trained model is reproducible
+    /// from the offline pipeline, which stops being true after the first
+    /// [`ErrorEstimator::refit`]. `None` for estimators without refit
+    /// support (their trained state never diverges from offline training).
+    fn export_model(&self) -> Option<(Vec<f64>, Option<Vec<f64>>)> {
         None
     }
 
-    /// Restores a trained model previously produced by
-    /// [`ErrorEstimator::export_model_words`], bit for bit.
+    /// Restores streams produced by [`ErrorEstimator::export_model`], bit
+    /// for bit, for accelerator inputs `input_dim` wide.
     ///
     /// # Errors
     ///
-    /// Returns a description of the mismatch when `words` does not decode
-    /// for this estimator kind, or when the estimator does not support
-    /// trained-model transport at all.
-    fn import_model_words(&mut self, words: &[u64]) -> std::result::Result<(), String> {
-        let _ = words;
+    /// Returns a description of the mismatch when a stream does not decode
+    /// for this estimator kind or reads features outside `input_dim`, or
+    /// when the estimator does not support trained-model transport at all.
+    fn import_model(
+        &mut self,
+        input_dim: usize,
+        model: &[f64],
+        signed: Option<&[f64]>,
+    ) -> std::result::Result<(), String> {
+        let _ = (input_dim, model, signed);
         Err(format!("{} does not support trained-model import", self.name()))
     }
 
@@ -282,18 +284,9 @@ pub const REFIT_RIDGE: f64 = 1e-4;
 /// currency of [`ErrorEstimator::state_config_word`].
 #[must_use]
 pub fn config_fingerprint(name: &str, params: &[u64]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in name.as_bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    for &p in params {
-        for b in p.to_le_bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-    h
+    params.iter().fold(codec::fnv1a(codec::FNV_OFFSET, name.as_bytes()), |h, p| {
+        codec::fnv1a(h, &p.to_le_bytes())
+    })
 }
 
 #[cfg(test)]

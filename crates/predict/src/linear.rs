@@ -6,7 +6,9 @@
 //! threshold comparison.
 
 use crate::linalg::ridge_fit;
-use crate::{CheckerCost, ErrorEstimator, Result, REFIT_RIDGE};
+use crate::{
+    decode_linear_model, encode_linear_model, CheckerCost, ErrorEstimator, Result, REFIT_RIDGE,
+};
 
 /// A plain affine function `w · x + c`, reusable for value prediction (EVP)
 /// as well as error prediction (EEP).
@@ -121,34 +123,6 @@ impl LinearErrors {
     }
 }
 
-/// Appends one affine model as `[width, weight bits..., bias bits]`.
-fn push_model_words(out: &mut Vec<u64>, model: &LinearModel) {
-    out.push(model.weights().len() as u64);
-    out.extend(model.weights().iter().map(|w| w.to_bits()));
-    out.push(model.bias().to_bits());
-}
-
-/// Parses one affine model written by [`push_model_words`], advancing
-/// `pos` past it.
-fn parse_model_words(words: &[u64], pos: &mut usize) -> std::result::Result<LinearModel, String> {
-    let width = *words.get(*pos).ok_or("linear model words ended before the width")? as usize;
-    if width >= words.len() {
-        return Err(format!("linear model claims {width} weights, only {} words", words.len()));
-    }
-    let end = *pos + 1 + width + 1;
-    if words.len() < end {
-        return Err(format!("linear model wants {width} weights + bias, words ran out"));
-    }
-    let weights: Vec<f64> =
-        words[*pos + 1..*pos + 1 + width].iter().map(|&w| f64::from_bits(w)).collect();
-    let bias = f64::from_bits(words[end - 1]);
-    if weights.iter().chain([&bias]).any(|v| !v.is_finite()) {
-        return Err("linear model words decode to non-finite coefficients".to_owned());
-    }
-    *pos = end;
-    Ok(LinearModel { weights, bias })
-}
-
 impl ErrorEstimator for LinearErrors {
     fn name(&self) -> &'static str {
         "linearErrors"
@@ -198,36 +172,30 @@ impl ErrorEstimator for LinearErrors {
         Ok(())
     }
 
-    fn export_model_words(&self) -> Option<Vec<u64>> {
-        let mut out = Vec::new();
-        push_model_words(&mut out, &self.model);
-        match &self.signed {
-            Some(signed) => {
-                out.push(1);
-                push_model_words(&mut out, signed);
-            }
-            None => out.push(0),
-        }
-        Some(out)
+    fn export_model(&self) -> Option<(Vec<f64>, Option<Vec<f64>>)> {
+        Some((encode_linear_model(&self.model), self.signed.as_ref().map(encode_linear_model)))
     }
 
-    fn import_model_words(&mut self, words: &[u64]) -> std::result::Result<(), String> {
-        let mut pos = 0usize;
-        let model = parse_model_words(words, &mut pos)?;
-        let signed = match words.get(pos).copied() {
-            Some(0) => {
-                pos += 1;
-                None
+    fn import_model(
+        &mut self,
+        input_dim: usize,
+        model: &[f64],
+        signed: Option<&[f64]>,
+    ) -> std::result::Result<(), String> {
+        let decode = |words: &[f64]| {
+            let model = decode_linear_model(words).map_err(|e| e.to_string())?;
+            if model.weights().len() != input_dim {
+                return Err(format!(
+                    "linear model has {} weights for {input_dim} inputs",
+                    model.weights().len()
+                ));
             }
-            Some(1) => {
-                pos += 1;
-                Some(parse_model_words(words, &mut pos)?)
+            if !model.weights().iter().chain([&model.bias()]).all(|v| v.is_finite()) {
+                return Err("linear model has non-finite coefficients".to_owned());
             }
-            other => return Err(format!("linear signed flag must be 0|1, got {other:?}")),
+            Ok(model)
         };
-        if pos != words.len() {
-            return Err(format!("{} unused linear model words", words.len() - pos));
-        }
+        let (model, signed) = (decode(model)?, signed.map(decode).transpose()?);
         self.model = model;
         self.signed = signed;
         Ok(())
@@ -309,17 +277,21 @@ mod tests {
         let signed: Vec<f64> = rows.iter().map(|r| r[0] - r[1]).collect();
         let mut le = LinearErrors::train(&refs, &ys, 1e-6).unwrap();
         le.refit(&refs, &ys, &signed).unwrap();
-        let words = le.export_model_words().unwrap();
-        let mut other = LinearErrors::train(&refs, &signed, 1e-6).unwrap();
-        other.import_model_words(&words).unwrap();
-        assert_eq!(other.export_model_words().unwrap(), words);
+        let (model, signed) = le.export_model().unwrap();
+        let mut other = LinearErrors::train(&refs, &ys, 1e-6).unwrap();
+        other.import_model(2, &model, signed.as_deref()).unwrap();
+        assert_eq!(other, le);
         assert_eq!(
             le.model().predict(&[0.3, 0.7]).to_bits(),
             other.model().predict(&[0.3, 0.7]).to_bits()
         );
-        // Truncated and garbage streams are rejected.
-        assert!(other.import_model_words(&words[..words.len() - 1]).is_err());
-        assert!(other.import_model_words(&[u64::MAX]).is_err());
+        // Truncated, garbage and wrongly shaped streams are rejected.
+        assert!(other.import_model(2, &model[..model.len() - 1], None).is_err());
+        assert!(other.import_model(2, &[f64::NAN], None).is_err());
+        assert!(other.import_model(3, &model, None).unwrap_err().contains("3 inputs"));
+        let mut nan_bias = model.clone();
+        *nan_bias.last_mut().unwrap() = f64::NAN;
+        assert!(other.import_model(2, &nan_bias, None).unwrap_err().contains("non-finite"));
     }
 
     #[test]

@@ -7,53 +7,14 @@
 
 use std::sync::Arc;
 
-use crate::{CheckerCost, ErrorEstimator, PredictError, Result};
+use crate::{
+    decode_tree_model, encode_tree_model, CheckerCost, ErrorEstimator, PredictError, Result,
+};
 
-/// Appends one tree as `[node_count, then per node: tag, feature, bits]`
-/// in preorder (`tag` 0 = leaf with `bits` = value, 1 = split on
-/// `feature` at threshold `bits`).
-fn push_tree_words(out: &mut Vec<u64>, tree: &DecisionTree) {
-    let nodes = tree.to_node_words();
-    out.push(nodes.len() as u64);
-    for node in nodes {
-        match node {
-            TreeNodeWord::Leaf { value } => {
-                out.push(0);
-                out.push(0);
-                out.push(value.to_bits());
-            }
-            TreeNodeWord::Split { feature, threshold } => {
-                out.push(1);
-                out.push(feature as u64);
-                out.push(threshold.to_bits());
-            }
-        }
-    }
-}
-
-/// Parses one tree written by [`push_tree_words`], advancing `pos`.
-fn parse_tree_words(words: &[u64], pos: &mut usize) -> std::result::Result<DecisionTree, String> {
-    let count = *words.get(*pos).ok_or("tree model words ended before the node count")? as usize;
-    if count >= words.len() {
-        return Err(format!("tree model claims {count} nodes, only {} words", words.len()));
-    }
-    let end = *pos + 1 + 3 * count;
-    if words.len() < end {
-        return Err(format!("tree model wants {count} nodes, words ran out"));
-    }
-    let mut nodes = Vec::with_capacity(count);
-    for i in 0..count {
-        let base = *pos + 1 + 3 * i;
-        let value = f64::from_bits(words[base + 2]);
-        nodes.push(match words[base] {
-            0 => TreeNodeWord::Leaf { value },
-            1 => TreeNodeWord::Split { feature: words[base + 1] as usize, threshold: value },
-            tag => return Err(format!("tree node tag must be 0|1, got {tag}")),
-        });
-    }
-    *pos = end;
-    DecisionTree::from_node_words(&nodes).map_err(|e| e.to_string())
-}
+/// Deepest tree [`DecisionTree::from_node_words`] rebuilds: far above the
+/// paper's depth cap of 7, and shallow enough that a tampered node stream
+/// cannot exhaust the stack.
+const MAX_DECODE_DEPTH: usize = 64;
 
 /// Training hyper-parameters for [`DecisionTree`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -187,7 +148,7 @@ impl DecisionTree {
     /// describe exactly one complete tree.
     pub fn from_node_words(words: &[TreeNodeWord]) -> Result<Self> {
         let mut pos = 0usize;
-        let root = unflatten(words, &mut pos)?;
+        let root = unflatten(words, &mut pos, 0)?;
         if pos != words.len() {
             return Err(PredictError::ShapeMismatch {
                 detail: format!("{} unused node words", words.len() - pos),
@@ -310,16 +271,19 @@ fn flatten(node: &Node, out: &mut Vec<TreeNodeWord>) {
     }
 }
 
-fn unflatten(words: &[TreeNodeWord], pos: &mut usize) -> Result<Node> {
+fn unflatten(words: &[TreeNodeWord], pos: &mut usize, depth: usize) -> Result<Node> {
     let word = words.get(*pos).ok_or_else(|| PredictError::ShapeMismatch {
         detail: "node stream ended mid-tree".to_owned(),
     })?;
     *pos += 1;
     match *word {
         TreeNodeWord::Leaf { value } => Ok(Node::Leaf { value }),
+        TreeNodeWord::Split { .. } if depth == MAX_DECODE_DEPTH => {
+            Err(PredictError::ShapeMismatch { detail: "node stream is too deep".to_owned() })
+        }
         TreeNodeWord::Split { feature, threshold } => {
-            let left = Box::new(unflatten(words, pos)?);
-            let right = Box::new(unflatten(words, pos)?);
+            let left = Box::new(unflatten(words, pos, depth + 1)?);
+            let right = Box::new(unflatten(words, pos, depth + 1)?);
             Ok(Node::Split { feature, threshold, left, right })
         }
     }
@@ -436,37 +400,28 @@ impl ErrorEstimator for TreeErrors {
         Ok(())
     }
 
-    fn export_model_words(&self) -> Option<Vec<u64>> {
-        let mut out = Vec::new();
-        push_tree_words(&mut out, &self.tree);
-        match &self.signed {
-            Some(signed) => {
-                out.push(1);
-                push_tree_words(&mut out, signed);
-            }
-            None => out.push(0),
-        }
-        Some(out)
+    fn export_model(&self) -> Option<(Vec<f64>, Option<Vec<f64>>)> {
+        Some((encode_tree_model(&self.tree), self.signed.as_deref().map(encode_tree_model)))
     }
 
-    fn import_model_words(&mut self, words: &[u64]) -> std::result::Result<(), String> {
-        let mut pos = 0usize;
-        let tree = parse_tree_words(words, &mut pos)?;
-        let signed = match words.get(pos).copied() {
-            Some(0) => {
-                pos += 1;
-                None
+    fn import_model(
+        &mut self,
+        input_dim: usize,
+        model: &[f64],
+        signed: Option<&[f64]>,
+    ) -> std::result::Result<(), String> {
+        let decode = |words: &[f64]| {
+            let tree = decode_tree_model(words).map_err(|e| e.to_string())?;
+            let outside = tree.to_node_words().into_iter().any(
+                |node| matches!(node, TreeNodeWord::Split { feature, .. } if feature >= input_dim),
+            );
+            if outside {
+                return Err(format!("tree model tests a feature outside {input_dim} inputs"));
             }
-            Some(1) => {
-                pos += 1;
-                Some(Arc::new(parse_tree_words(words, &mut pos)?))
-            }
-            other => return Err(format!("tree signed flag must be 0|1, got {other:?}")),
+            Ok(Arc::new(tree))
         };
-        if pos != words.len() {
-            return Err(format!("{} unused tree model words", words.len() - pos));
-        }
-        self.tree = Arc::new(tree);
+        let (tree, signed) = (decode(model)?, signed.map(decode).transpose()?);
+        self.tree = tree;
         self.signed = signed;
         Ok(())
     }
@@ -563,16 +518,34 @@ mod tests {
         assert!(te.tree().predict(&[0.1, 0.5]) > 0.5);
         assert!(te.signed_tree().is_some());
 
-        let words = te.export_model_words().unwrap();
+        let (model, signed) = te.export_model().unwrap();
         let mut other = TreeErrors::train(&refs, &ys, &TreeParams::default()).unwrap();
-        other.import_model_words(&words).unwrap();
-        assert_eq!(other.export_model_words().unwrap(), words);
+        other.import_model(2, &model, signed.as_deref()).unwrap();
+        assert_eq!(other, te);
         assert_eq!(
             other.tree().predict(&[0.3, 0.9]).to_bits(),
             te.tree().predict(&[0.3, 0.9]).to_bits()
         );
-        assert!(other.import_model_words(&words[..words.len() - 2]).is_err());
-        assert!(other.import_model_words(&[7]).is_err());
+        assert!(other.import_model(2, &model[..model.len() - 2], None).is_err());
+        assert!(other.import_model(2, &[7.0], None).is_err());
+        // A split on input 0 cannot serve 0-wide inputs.
+        assert!(other.import_model(0, &model, None).unwrap_err().contains("outside"));
+    }
+
+    #[test]
+    fn node_streams_deeper_than_the_decode_cap_are_refused() {
+        let chain = |depth: usize| {
+            let mut nodes = Vec::new();
+            for _ in 0..depth {
+                nodes.push(TreeNodeWord::Split { feature: 0, threshold: 0.5 });
+                nodes.push(TreeNodeWord::Leaf { value: 0.0 });
+            }
+            nodes.push(TreeNodeWord::Leaf { value: 1.0 });
+            DecisionTree::from_node_words(&nodes)
+        };
+        assert_eq!(chain(MAX_DECODE_DEPTH).unwrap().depth(), MAX_DECODE_DEPTH);
+        assert!(chain(MAX_DECODE_DEPTH + 1).is_err());
+        assert!(chain(100_000).is_err());
     }
 
     proptest! {

@@ -15,7 +15,7 @@
 //! | `drain`    | `session` (optional — omitted drains **all** sessions through one multiplexed scheduling round) |
 //! | `stats`    | `session`                                                         |
 //! | `close`    | `session`                                                         |
-//! | `snapshot` | `session` — serialize the session's live state as one config-word line |
+//! | `snapshot` | `session` — serialize the session's live state as one checksummed snapshot line |
 //! | `restore`  | `session`, `state` (a `snapshot` payload) — rebuild the session, bit-for-bit |
 //! | `shutdown` | —                                                                 |
 

@@ -15,7 +15,7 @@ use rumba_core::zoo::ModelZoo;
 use rumba_faults::FaultPlan;
 use rumba_nn::{Matrix, Scratch};
 use rumba_obs::Event;
-use rumba_predict::{EmaDetector, ErrorEstimator};
+use rumba_predict::{EmaDetector, ErrorEstimator, Sections};
 
 use crate::prepared::{Prepared, PreparedStore};
 use crate::snapshot::SnapshotParts;
@@ -346,55 +346,99 @@ impl Session {
     /// Fails on malformed snapshot text, unknown kernels, invalid
     /// configuration, or offline training failures.
     pub fn restore(store: &PreparedStore, name: &str, text: &str) -> Result<Self, ServeError> {
-        let parts = SnapshotParts::parse(text)
-            .map_err(|e| ServeError::InvalidConfig(format!("snapshot: {e}")))?;
-        let config = parts.config.clone();
+        let invalid = |e: String| ServeError::InvalidConfig(format!("snapshot: {e}"));
+        let SnapshotParts { config, mut sections } = SnapshotParts::parse(text).map_err(invalid)?;
         let kernel = checked_kernel(&config)?;
         let prepared = store.get(kernel.as_ref(), config.seed)?;
         // The placeholder threshold never fires: `import_state` rebuilds
         // the tuner at the snapshotted threshold (and the calibration
         // anchor), so the threshold calibration is skipped entirely.
         let mut session = Self::assemble(name, config, kernel, &prepared, 1.0)?;
-        session
-            .system
-            .import_state(&parts.runtime)
-            .map_err(|e| ServeError::InvalidConfig(format!("snapshot runtime: {e}")))?;
-        session.import_stats(&parts.stats)?;
-        session.import_queue(&parts.queue)?;
-        session.import_completed(&parts.completed)?;
+        session.system.import_state(&mut sections).map_err(invalid)?;
+        session.import_sections(&mut sections).map_err(invalid)?;
+        sections.finish().map_err(invalid)?;
         session.emit_session_event("restore");
         Ok(session)
     }
 
-    /// Serializes the session's full live state as one plain-text
-    /// config-word line (see [`crate::snapshot`] for the format). The
+    /// Serializes the session's full live state as one plain-text line of
+    /// named sections (see [`crate::snapshot`] for the format). The
     /// session keeps running; the snapshot is a copy, not a detach.
     #[must_use]
     pub fn snapshot(&self) -> String {
-        let dim = self.kernel.input_dim();
-        let mut queue = Vec::with_capacity(1 + self.pending_rows * dim);
-        queue.push(self.pending_rows as u64);
-        queue.extend(self.pending_inputs[..self.pending_rows * dim].iter().map(|x| x.to_bits()));
-        let out_dim = self.kernel.output_dim();
-        let mut completed = Vec::with_capacity(1 + self.completed.len() * (4 + out_dim));
-        completed.push(self.completed.len() as u64);
+        let mut sections = self.system.export_state();
+        let s = &self.stats;
+        let mut stats = sections.section("stats");
+        for count in [s.submitted, s.processed, s.fixes, s.compensated, s.shed, s.blocked] {
+            stats.word(count);
+        }
+        stats.word(s.drains).word(s.back_pressured_drains);
+        stats.word(s.queue_high_water as u64).word(s.recovery_high_water as u64);
+        for sum in [s.error_sum, s.total_cycles, s.cpu_busy_cycles, s.final_threshold] {
+            stats.float(sum);
+        }
+        let queued = &self.pending_inputs[..self.pending_rows * self.kernel.input_dim()];
+        sections.section("queue").word(self.pending_rows as u64).floats(queued);
+        let mut completed = sections.section("completed");
+        completed.word(self.completed.len() as u64);
         for r in &self.completed {
-            completed.extend([
-                r.index as u64,
-                u64::from(r.fired),
-                r.predicted_error.to_bits(),
-                r.measured_error.to_bits(),
-            ]);
-            completed.extend(r.output.iter().map(|x| x.to_bits()));
+            completed.word(r.index as u64).flag(r.fired).float(r.predicted_error);
+            completed.float(r.measured_error).floats(&r.output);
         }
-        SnapshotParts {
-            config: self.config.clone(),
-            runtime: self.system.export_state(),
-            stats: self.export_stats(),
-            queue,
-            completed,
+        SnapshotParts { config: self.config.clone(), sections }.encode()
+    }
+
+    /// Reads the session's own snapshot sections — `stats`, `queue` (at
+    /// most the queue bound of finite rows) and `completed` (outputs the
+    /// kernel's width) — written by [`Session::snapshot`].
+    fn import_sections(&mut self, sections: &mut Sections) -> Result<(), String> {
+        let mut stats = sections.take("stats")?;
+        let s = &mut self.stats;
+        for count in [
+            &mut s.submitted,
+            &mut s.processed,
+            &mut s.fixes,
+            &mut s.compensated,
+            &mut s.shed,
+            &mut s.blocked,
+            &mut s.drains,
+            &mut s.back_pressured_drains,
+        ] {
+            *count = stats.counter()?;
         }
-        .encode()
+        for high_water in [&mut s.queue_high_water, &mut s.recovery_high_water] {
+            *high_water = stats.counter()? as usize;
+        }
+        for sum in
+            [&mut s.error_sum, &mut s.total_cycles, &mut s.cpu_busy_cycles, &mut s.final_threshold]
+        {
+            *sum = stats.float()?;
+        }
+        stats.end()?;
+
+        let mut queue = sections.take("queue")?;
+        let rows = queue.count(self.queue.input_capacity)?;
+        let inputs = queue.floats(rows * self.kernel.input_dim())?;
+        queue.ensure(inputs.iter().all(|v| v.is_finite()), || "non-finite input".to_owned())?;
+        queue.end()?;
+        self.pending_inputs.clear();
+        self.pending_inputs.extend(inputs);
+        self.pending_rows = rows;
+
+        let mut completed = sections.take("completed")?;
+        for _ in 0..completed.counter()? {
+            let (index, fired) = (completed.counter()? as usize, completed.flag()?);
+            let (predicted_error, measured_error) = (completed.float()?, completed.float()?);
+            let output = completed.floats(self.kernel.output_dim())?;
+            self.completed.push_back(SessionResult {
+                index,
+                output,
+                fired,
+                predicted_error,
+                measured_error,
+            });
+        }
+        completed.end()
     }
 
     /// Shared construction path of [`Session::open`] and
@@ -432,9 +476,8 @@ impl Session {
             system.set_zoo_pressure_ceiling(ceiling);
         }
         // Armed before `begin_stream` (and thus before any `restore`
-        // imports state), so a snapshot's refit tail — epoch, audit
-        // accumulators, re-fit model words, reservoir — parses and lands
-        // in an already-armed runtime.
+        // imports state), so a snapshot's `refit` and `reservoir`
+        // sections land in an already-armed runtime.
         if config.refit {
             system.arm_refit(RefitConfig {
                 quality_budget: quality_budget(config.mode),
@@ -478,116 +521,6 @@ impl Session {
                 threshold: self.system.tuner().threshold(),
             });
         }
-    }
-
-    /// The `SessionStats` counters as snapshot words, floats as bits. The
-    /// 14th word (`compensated`) is appended only when nonzero, so
-    /// re-execution-only sessions keep the historical 13-word layout byte
-    /// for byte.
-    fn export_stats(&self) -> Vec<u64> {
-        let s = &self.stats;
-        let mut words = vec![
-            s.submitted,
-            s.processed,
-            s.fixes,
-            s.shed,
-            s.blocked,
-            s.queue_high_water as u64,
-            s.error_sum.to_bits(),
-            s.drains,
-            s.back_pressured_drains,
-            s.recovery_high_water as u64,
-            s.total_cycles.to_bits(),
-            s.cpu_busy_cycles.to_bits(),
-            s.final_threshold.to_bits(),
-        ];
-        if s.compensated > 0 {
-            words.push(s.compensated);
-        }
-        words
-    }
-
-    fn import_stats(&mut self, words: &[u64]) -> Result<(), ServeError> {
-        if words.len() != 13 && words.len() != 14 {
-            return Err(ServeError::InvalidConfig(format!(
-                "snapshot stats wants 13 or 14 words, got {}",
-                words.len()
-            )));
-        }
-        self.stats = SessionStats {
-            submitted: words[0],
-            processed: words[1],
-            fixes: words[2],
-            shed: words[3],
-            blocked: words[4],
-            queue_high_water: words[5] as usize,
-            error_sum: f64::from_bits(words[6]),
-            drains: words[7],
-            back_pressured_drains: words[8],
-            recovery_high_water: words[9] as usize,
-            total_cycles: f64::from_bits(words[10]),
-            cpu_busy_cycles: f64::from_bits(words[11]),
-            final_threshold: f64::from_bits(words[12]),
-            compensated: words.get(13).copied().unwrap_or(0),
-        };
-        Ok(())
-    }
-
-    fn import_queue(&mut self, words: &[u64]) -> Result<(), ServeError> {
-        let malformed =
-            |detail: String| ServeError::InvalidConfig(format!("snapshot queue: {detail}"));
-        let (&rows, inputs) =
-            words.split_first().ok_or_else(|| malformed("empty section".into()))?;
-        let rows = rows as usize;
-        let expect = rows
-            .checked_mul(self.kernel.input_dim())
-            .ok_or_else(|| malformed(format!("row count {rows} overflows")))?;
-        if inputs.len() != expect {
-            return Err(malformed(format!(
-                "{rows} rows want {expect} input words, got {}",
-                inputs.len()
-            )));
-        }
-        self.pending_inputs.clear();
-        self.pending_inputs.extend(inputs.iter().map(|&w| f64::from_bits(w)));
-        self.pending_rows = rows;
-        Ok(())
-    }
-
-    fn import_completed(&mut self, words: &[u64]) -> Result<(), ServeError> {
-        let malformed =
-            |detail: String| ServeError::InvalidConfig(format!("snapshot completed: {detail}"));
-        let (&count, mut rest) =
-            words.split_first().ok_or_else(|| malformed("empty section".into()))?;
-        let out_dim = self.kernel.output_dim();
-        let record = 4 + out_dim;
-        let expect = (count as usize)
-            .checked_mul(record)
-            .ok_or_else(|| malformed(format!("result count {count} overflows")))?;
-        if rest.len() != expect {
-            return Err(malformed(format!(
-                "{count} results want {expect} words, got {}",
-                rest.len()
-            )));
-        }
-        self.completed.clear();
-        for _ in 0..count {
-            let (head, tail) = rest.split_at(record);
-            let fired = match head[1] {
-                0 => false,
-                1 => true,
-                flag => return Err(malformed(format!("fired flag must be 0|1, got {flag}"))),
-            };
-            self.completed.push_back(SessionResult {
-                index: head[0] as usize,
-                fired,
-                predicted_error: f64::from_bits(head[2]),
-                measured_error: f64::from_bits(head[3]),
-                output: head[4..].iter().map(|&w| f64::from_bits(w)).collect(),
-            });
-            rest = tail;
-        }
-        Ok(())
     }
 
     /// Session name (the telemetry label).
@@ -701,6 +634,11 @@ impl Session {
                 self.kernel.name(),
                 input.len()
             )));
+        }
+        // A non-finite input (`1e999` parses to infinity) has no exact
+        // result to check against, and would poison the refit reservoir.
+        if input.iter().any(|v| !v.is_finite()) {
+            return Err(ServeError::InvalidInput("inputs must be finite".to_owned()));
         }
         if self.pending_rows >= self.effective_capacity() {
             // Degrade before shedding: every full-queue event raises the
@@ -934,6 +872,8 @@ fn checked_kernel(config: &SessionConfig) -> Result<Box<dyn Kernel>, ServeError>
     };
     bounded("window", config.window, 1, MAX_WINDOW)?;
     bounded("queue capacity", config.queue.input_capacity, 1, MAX_QUEUE)?;
+    bounded("output queue capacity", config.queue.output_capacity, 1, MAX_QUEUE)?;
+    bounded("recovery queue capacity", config.queue.recovery_capacity, 1, MAX_QUEUE)?;
     bounded("zoo", config.zoo, 0, MAX_ZOO)?;
     config.queue.input_capacity.checked_mul(kernel.input_dim()).ok_or_else(|| {
         ServeError::InvalidConfig(format!(

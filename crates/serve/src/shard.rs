@@ -29,6 +29,7 @@ use std::thread::JoinHandle;
 
 use rumba_obs::json::{parse_object, ObjectExt};
 use rumba_obs::Event;
+use rumba_predict::codec::{fnv1a, FNV_OFFSET};
 
 use crate::prepared::PreparedStore;
 use crate::protocol::{closed_line, error_line, handle_line, result_line};
@@ -39,12 +40,7 @@ use crate::registry::ServeRuntime;
 /// no state, so it holds across restarts and snapshot migration.
 #[must_use]
 pub fn shard_of(session: &str, shards: usize) -> usize {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in session.bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x100_0000_01B3);
-    }
-    (h % shards.max(1) as u64) as usize
+    (fnv1a(FNV_OFFSET, session.as_bytes()) % shards.max(1) as u64) as usize
 }
 
 /// Per-session response-line groups, tagged with the session name so the

@@ -1,22 +1,28 @@
-//! Session snapshot codec: one line of plain-text config-words.
+//! Session snapshot codec: one checksummed line of named word sections.
 //!
 //! A snapshot is the serialized form of a live serving session — its
 //! opening configuration plus every piece of online state (tuner
 //! threshold, checker history, window counters, fault accounting, queued
-//! inputs, uncollected results). The encoding follows the
-//! `TrainedModelCache` family: human-readable tokens, floats as the
-//! `{:016x}` hex of their IEEE-754 bits so round-trips are bit-exact, and
-//! a versioned header so stale snapshots fail loudly instead of decoding
-//! garbage.
+//! inputs, uncollected results). The configuration is a fixed set of
+//! `key=value` tokens, every one always written; the online state is the
+//! [`Sections`] each component writes and validates itself (see
+//! [`rumba_predict::codec`]): `section <name> <count> <hex>…`, floats as
+//! the `{:016x}` hex of their IEEE-754 bits so round-trips are bit-exact.
+//! The line ends with an FNV-1a checksum of everything before it, so a
+//! damaged line fails before any section is read, and a versioned header
+//! refuses stale layouts outright.
 //!
 //! The whole snapshot is a single line (no newlines, characters drawn
 //! from `[a-z0-9 =:,._-]`), so it embeds verbatim in a protocol JSON
 //! string:
 //!
 //! ```text
-//! rumba-session-snapshot v1 kernel=gaussian seed=7 checker=ema
+//! rumba-session-snapshot v2 kernel=gaussian seed=7 checker=ema
 //!     mode=toq:3feccccccccccccd window=16 queue=6,16,64 admission=shed
-//!     section runtime 25 3f91a... section stats 13 ... section queue 3 ...
+//!     fix=reexecute watchdog=off zoo=0 refit=0 fault_seed=0 faults=
+//!     section tuner 2 3f91a… section window 11 … section ema 3 …
+//!     section stats 14 … section queue 1 … section completed 1 …
+//!     checksum=5c1e…
 //! ```
 //!
 //! (wrapped here for readability). The session *name* is deliberately not
@@ -24,319 +30,257 @@
 //! a snapshot migrate to a different shard — placement is a pure hash of
 //! the name — or to a differently named session entirely.
 
+use std::fmt::Write;
+use std::str::FromStr;
+
 use rumba_core::event_sim::QueueConfig;
 use rumba_core::runtime::{FixPolicy, WatchdogConfig};
 use rumba_core::tuner::TuningMode;
-use rumba_faults::{FaultModel, FaultPlan};
+use rumba_faults::FaultPlan;
+use rumba_predict::codec::{fnv1a, FNV_OFFSET};
+use rumba_predict::Sections;
 
 use crate::session::{AdmissionPolicy, CheckerKind, SessionConfig};
 
-/// Leading tokens of every snapshot; bump the version when the word
-/// layout changes.
-pub const FORMAT_HEADER: &str = "rumba-session-snapshot v1";
+/// Leading tokens of every snapshot; bump the version when the layout
+/// changes.
+pub const FORMAT_HEADER: &str = "rumba-session-snapshot v2";
+
+/// The configuration keys, each written exactly once, in this order.
+const CONFIG_KEYS: [&str; 13] = [
+    "kernel",
+    "seed",
+    "checker",
+    "mode",
+    "window",
+    "queue",
+    "admission",
+    "fix",
+    "watchdog",
+    "zoo",
+    "refit",
+    "fault_seed",
+    "faults",
+];
+
+/// Appends the `checksum=` token — FNV-1a over every preceding byte — to a
+/// snapshot body: the last step of encoding, and how a test re-seals a
+/// deliberately edited snapshot so the section validators, not the
+/// checksum, must catch the edit.
+#[must_use]
+pub fn seal(mut body: String) -> String {
+    let checksum = fnv1a(FNV_OFFSET, body.as_bytes());
+    let _ = write!(body, " checksum={checksum:016x}");
+    body
+}
 
 /// A parsed (or to-be-encoded) snapshot: the opening configuration plus
-/// the raw word sections the session's components export.
+/// the state sections the session's components write.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct SnapshotParts {
-    /// Everything `Session::open` needs (fault plan and watchdog ride in
-    /// their own sections of the encoded form).
+    /// Everything `Session::open` needs.
     pub(crate) config: SessionConfig,
-    /// `RumbaSystem::export_state` words (tuner, windows, checker, ...).
-    pub(crate) runtime: Vec<u64>,
-    /// The `SessionStats` counters (13, plus a trailing `compensated`
-    /// word when nonzero).
-    pub(crate) stats: Vec<u64>,
-    /// Queued-but-undrained request rows: `[rows, input bits...]`.
-    pub(crate) queue: Vec<u64>,
-    /// Completed-but-uncollected results:
-    /// `[count, (index, fired, predicted, measured, output bits...)...]`.
-    pub(crate) completed: Vec<u64>,
+    /// The runtime's and the session's state sections.
+    pub(crate) sections: Sections,
 }
 
 impl SnapshotParts {
     /// Encodes the snapshot as its single-line text form.
     pub(crate) fn encode(&self) -> String {
-        use std::fmt::Write;
-        let mut out = String::with_capacity(
-            64 + 17 * (self.runtime.len() + self.stats.len() + self.queue.len())
-                + 17 * self.completed.len(),
-        );
-        out.push_str(FORMAT_HEADER);
         let c = &self.config;
-        let _ = write!(out, " kernel={} seed={} checker={}", c.kernel, c.seed, c.checker.label());
-        match c.mode {
-            TuningMode::TargetQuality { toq } => {
-                let _ = write!(out, " mode=toq:{:016x}", toq.to_bits());
-            }
-            TuningMode::EnergyBudget { budget } => {
-                let _ = write!(out, " mode=energy:{budget}");
-            }
-            TuningMode::BestQuality => out.push_str(" mode=best"),
-        }
+        let words: usize = self.sections.iter().map(|(_, w)| 3 + w.len()).sum();
+        let mut out = String::with_capacity(320 + 17 * words);
+        let mode = match c.mode {
+            TuningMode::TargetQuality { toq } => format!("toq:{:016x}", toq.to_bits()),
+            TuningMode::EnergyBudget { budget } => format!("energy:{budget}"),
+            TuningMode::BestQuality => "best".to_owned(),
+        };
+        let fix = match c.fix_policy {
+            FixPolicy::Reexecute => "reexecute".to_owned(),
+            FixPolicy::Compensate { band } => format!("comp:{:016x}", band.to_bits()),
+        };
+        let watchdog = c.watchdog.map_or_else(
+            || "off".to_owned(),
+            |w| {
+                format!("{:016x}:{}:{}", w.quality_limit.to_bits(), w.patience, w.fallback_patience)
+            },
+        );
+        let (fault_seed, faults) =
+            c.faults.as_ref().map_or((0, String::new()), |p| (p.seed(), p.to_string()));
+        let q = &c.queue;
         let _ = write!(
             out,
-            " window={} queue={},{},{} admission={}",
+            "{FORMAT_HEADER} kernel={} seed={} checker={} mode={mode} window={} queue={},{},{} \
+             admission={} fix={fix} watchdog={watchdog} zoo={} refit={} fault_seed={fault_seed} \
+             faults={faults}",
+            c.kernel,
+            c.seed,
+            c.checker.label(),
             c.window,
-            c.queue.input_capacity,
-            c.queue.output_capacity,
-            c.queue.recovery_capacity,
-            c.admission.label()
+            q.input_capacity,
+            q.output_capacity,
+            q.recovery_capacity,
+            c.admission.label(),
+            c.zoo,
+            u8::from(c.refit),
         );
-        // Omitted for the default re-execution policy, so snapshots of
-        // sessions that never heard of compensation are byte-identical to
-        // the pre-compensation encoding.
-        if let FixPolicy::Compensate { band } = c.fix_policy {
-            let _ = write!(out, " fix=comp:{:016x}", band.to_bits());
+        for (name, words) in self.sections.iter() {
+            let _ = write!(out, " section {name} {}", words.len());
+            for w in words {
+                let _ = write!(out, " {w:016x}");
+            }
         }
-        // Omitted for zoo-less sessions, so their snapshots stay
-        // byte-identical to the pre-zoo encoding.
-        if c.zoo > 0 {
-            let _ = write!(out, " zoo={}", c.zoo);
-        }
-        // Omitted for refit-less sessions, so their snapshots stay
-        // byte-identical to the pre-refit encoding. The token arms the
-        // restore *before* the runtime words are imported — the runtime
-        // section of a refit session carries a trailing reservoir/epoch
-        // tail that only an armed system knows how to parse.
-        if c.refit {
-            out.push_str(" refit=1");
-        }
-        if let Some(plan) = &c.faults {
-            push_section(&mut out, "faults", &encode_fault_plan(plan));
-        }
-        if let Some(w) = &c.watchdog {
-            let words =
-                [w.quality_limit.to_bits(), u64::from(w.patience), u64::from(w.fallback_patience)];
-            push_section(&mut out, "watchdog", &words);
-        }
-        push_section(&mut out, "runtime", &self.runtime);
-        push_section(&mut out, "stats", &self.stats);
-        push_section(&mut out, "queue", &self.queue);
-        push_section(&mut out, "completed", &self.completed);
-        out
+        seal(out)
     }
 
-    /// Parses the text form back into its parts, validating the header,
-    /// every config token, and section arithmetic. The inverse of
-    /// [`SnapshotParts::encode`], bit for bit.
+    /// Parses the text form back into its parts, checking the header, the
+    /// checksum, every config token and the section envelope; the
+    /// sections' contents are checked by the components that read them.
+    /// The inverse of [`SnapshotParts::encode`], bit for bit.
     pub(crate) fn parse(text: &str) -> Result<Self, String> {
-        let mut tokens = text.split_whitespace().peekable();
-        let (magic, version) = (tokens.next(), tokens.next());
-        if magic != Some("rumba-session-snapshot") || version != Some("v1") {
-            return Err("not a rumba-session-snapshot v1".to_owned());
+        let text = text.trim();
+        let mut tokens = text.split_whitespace();
+        match (tokens.next(), tokens.next()) {
+            (Some("rumba-session-snapshot"), Some("v2")) => {}
+            (Some("rumba-session-snapshot"), Some(version)) => {
+                return Err(format!("snapshot format {version} is not supported (expected v2)"));
+            }
+            _ => return Err("not a rumba-session-snapshot".to_owned()),
+        }
+        let (body, checksum) = text.rsplit_once(" checksum=").ok_or("snapshot has no checksum")?;
+        if u64::from_str_radix(checksum, 16) != Ok(fnv1a(FNV_OFFSET, body.as_bytes())) {
+            return Err("snapshot checksum mismatch".to_owned());
         }
 
+        let mut tokens = body.split_whitespace().skip(2).peekable();
         let mut config = SessionConfig::default();
-        let mut seen_mode = false;
-        while let Some(&token) = tokens.peek() {
-            if token == "section" {
-                break;
-            }
-            tokens.next();
+        let (mut seen, mut fault_seed, mut faults) = (Vec::new(), 0, "");
+        while let Some(token) = tokens.next_if(|&t| t != "section") {
             let (key, value) =
                 token.split_once('=').ok_or_else(|| format!("malformed token {token:?}"))?;
+            if seen.contains(&key) {
+                return Err(format!("duplicated config key {key:?}"));
+            }
+            seen.push(key);
+            let text_err = |e: crate::ServeError| e.to_string();
             match key {
                 "kernel" => config.kernel = value.to_owned(),
-                "seed" => config.seed = parse_dec(value, "seed")?,
-                "checker" => {
-                    config.checker = CheckerKind::parse(value).map_err(|e| e.to_string())?;
-                }
-                "mode" => {
-                    config.mode = parse_mode(value)?;
-                    seen_mode = true;
-                }
-                "window" => config.window = parse_dec(value, "window")? as usize,
+                "seed" => config.seed = parse_num(value, key)?,
+                "checker" => config.checker = CheckerKind::parse(value).map_err(text_err)?,
+                "mode" => config.mode = parse_mode(value)?,
+                "window" => config.window = parse_num(value, key)?,
                 "queue" => config.queue = parse_queue(value)?,
                 "admission" => {
-                    config.admission = AdmissionPolicy::parse(value).map_err(|e| e.to_string())?;
+                    config.admission = AdmissionPolicy::parse(value).map_err(text_err)?
                 }
                 "fix" => config.fix_policy = parse_fix(value)?,
-                "zoo" => config.zoo = parse_dec(value, "zoo")? as usize,
+                "watchdog" => config.watchdog = parse_watchdog(value)?,
+                "zoo" => config.zoo = parse_num(value, key)?,
                 "refit" => {
-                    if value != "1" {
-                        return Err(format!("bad refit value {value:?} (expected 1)"));
-                    }
-                    config.refit = true;
+                    config.refit = match value {
+                        "0" => false,
+                        "1" => true,
+                        _ => return Err(format!("bad refit value {value:?} (expected 0 or 1)")),
+                    };
                 }
+                "fault_seed" => fault_seed = parse_num(value, key)?,
+                "faults" => faults = value,
                 other => return Err(format!("unknown config key {other:?}")),
             }
         }
-        if !seen_mode {
-            return Err("snapshot is missing the mode token".to_owned());
+        if let Some(missing) = CONFIG_KEYS.iter().find(|key| !seen.contains(key)) {
+            return Err(format!("snapshot is missing the {missing} token"));
         }
+        config.faults = Some(FaultPlan::parse(fault_seed, faults)?).filter(|p| !p.is_empty());
 
-        let mut runtime = None;
-        let mut stats = None;
-        let mut queue = None;
-        let mut completed = None;
+        let mut sections = Sections::default();
         while let Some(keyword) = tokens.next() {
             if keyword != "section" {
                 return Err(format!("expected section keyword, got {keyword:?}"));
             }
             let name = tokens.next().ok_or("section is missing its name")?;
-            let count =
-                parse_dec(tokens.next().ok_or("section is missing its word count")?, "count")?;
-            // Every word takes at least two bytes of the text, which bounds
-            // the preallocation whatever count a tampered line claims.
-            let mut words = Vec::with_capacity((count as usize).min(text.len() / 2));
-            for _ in 0..count {
-                let hex = tokens
-                    .next()
-                    .ok_or_else(|| format!("section {name} truncated at word {}", words.len()))?;
+            let count: u64 =
+                parse_num(tokens.next().ok_or("section is missing its word count")?, "count")?;
+            let mut section = sections.section(name);
+            for i in 0..count {
+                let hex =
+                    tokens.next().ok_or_else(|| format!("section {name} ends at word {i}"))?;
                 let word = u64::from_str_radix(hex, 16)
                     .map_err(|_| format!("section {name}: bad word {hex:?}"))?;
-                words.push(word);
-            }
-            match name {
-                "faults" => config.faults = Some(decode_fault_plan(&words)?),
-                "watchdog" => {
-                    if words.len() != 3 {
-                        return Err(format!("watchdog section wants 3 words, got {}", words.len()));
-                    }
-                    let patience = u32::try_from(words[1])
-                        .map_err(|_| "watchdog patience overflows u32".to_owned())?;
-                    let fallback_patience = u32::try_from(words[2])
-                        .map_err(|_| "watchdog fallback_patience overflows u32".to_owned())?;
-                    config.watchdog = Some(WatchdogConfig {
-                        quality_limit: f64::from_bits(words[0]),
-                        patience,
-                        fallback_patience,
-                    });
-                }
-                "runtime" => runtime = Some(words),
-                "stats" => stats = Some(words),
-                "queue" => queue = Some(words),
-                "completed" => completed = Some(words),
-                other => return Err(format!("unknown section {other:?}")),
+                section.word(word);
             }
         }
-
-        Ok(Self {
-            config,
-            runtime: runtime.ok_or("snapshot is missing the runtime section")?,
-            stats: stats.ok_or("snapshot is missing the stats section")?,
-            queue: queue.ok_or("snapshot is missing the queue section")?,
-            completed: completed.ok_or("snapshot is missing the completed section")?,
-        })
+        Ok(Self { config, sections })
     }
 }
 
-fn push_section(out: &mut String, name: &str, words: &[u64]) {
-    use std::fmt::Write;
-    let _ = write!(out, " section {name} {}", words.len());
-    for w in words {
-        let _ = write!(out, " {w:016x}");
-    }
+fn parse_num<T: FromStr>(text: &str, what: &str) -> Result<T, String> {
+    text.parse().map_err(|_| format!("bad {what} value {text:?}"))
 }
 
-fn parse_dec(text: &str, what: &str) -> Result<u64, String> {
-    text.parse::<u64>().map_err(|_| format!("bad {what} value {text:?}"))
+fn parse_bits(text: &str, what: &str) -> Result<f64, String> {
+    u64::from_str_radix(text, 16)
+        .map(f64::from_bits)
+        .map_err(|_| format!("bad {what} bits {text:?}"))
 }
 
 fn parse_mode(value: &str) -> Result<TuningMode, String> {
-    if value == "best" {
-        return Ok(TuningMode::BestQuality);
-    }
-    let (tag, param) =
-        value.split_once(':').ok_or_else(|| format!("malformed mode token {value:?}"))?;
-    match tag {
-        "toq" => {
-            let bits =
-                u64::from_str_radix(param, 16).map_err(|_| format!("bad toq bits {param:?}"))?;
-            Ok(TuningMode::TargetQuality { toq: f64::from_bits(bits) })
+    match value.split_once(':') {
+        None if value == "best" => Ok(TuningMode::BestQuality),
+        Some(("toq", bits)) => Ok(TuningMode::TargetQuality { toq: parse_bits(bits, "toq")? }),
+        Some(("energy", budget)) => {
+            Ok(TuningMode::EnergyBudget { budget: parse_num(budget, "budget")? })
         }
-        "energy" => Ok(TuningMode::EnergyBudget { budget: parse_dec(param, "budget")? as usize }),
-        other => Err(format!("unknown mode {other:?}")),
+        _ => Err(format!("malformed mode token {value:?}")),
     }
 }
 
 fn parse_fix(value: &str) -> Result<FixPolicy, String> {
-    let Some(("comp", bits)) = value.split_once(':') else {
-        return Err(format!("malformed fix token {value:?} (expected comp:<band bits>)"));
+    match value.split_once(':') {
+        None if value == "reexecute" => Ok(FixPolicy::Reexecute),
+        Some(("comp", bits)) => Ok(FixPolicy::Compensate { band: parse_bits(bits, "band")? }),
+        _ => Err(format!("malformed fix token {value:?} (expected reexecute or comp:<bits>)")),
+    }
+}
+
+fn parse_watchdog(value: &str) -> Result<Option<WatchdogConfig>, String> {
+    if value == "off" {
+        return Ok(None);
+    }
+    let fields: Vec<&str> = value.split(':').collect();
+    let [limit, patience, fallback_patience] = fields[..] else {
+        return Err(format!("malformed watchdog token {value:?} (expected off or 3 fields)"));
     };
-    let bits = u64::from_str_radix(bits, 16).map_err(|_| format!("bad band bits {bits:?}"))?;
-    Ok(FixPolicy::Compensate { band: f64::from_bits(bits) })
+    let quality_limit = parse_bits(limit, "watchdog limit")?;
+    if !(quality_limit > 0.0 && quality_limit.is_finite()) {
+        return Err(format!("watchdog limit {quality_limit} must be finite and above zero"));
+    }
+    Ok(Some(WatchdogConfig {
+        quality_limit,
+        patience: parse_num(patience, "watchdog patience")?,
+        fallback_patience: parse_num(fallback_patience, "watchdog fallback_patience")?,
+    }))
 }
 
 fn parse_queue(value: &str) -> Result<QueueConfig, String> {
-    let mut it = value.split(',');
-    let mut next = |what: &str| -> Result<usize, String> {
-        Ok(parse_dec(it.next().ok_or_else(|| format!("queue token missing {what}"))?, what)?
-            as usize)
+    let fields: Vec<&str> = value.split(',').collect();
+    let [input, output, recovery] = fields[..] else {
+        return Err(format!("malformed queue token {value:?} (expected 3 capacities)"));
     };
-    let config = QueueConfig {
-        input_capacity: next("input_capacity")?,
-        output_capacity: next("output_capacity")?,
-        recovery_capacity: next("recovery_capacity")?,
-    };
-    if it.next().is_some() {
-        return Err(format!("queue token has trailing fields: {value:?}"));
-    }
-    Ok(config)
-}
-
-/// `[plan seed, model count, (tag, p0, p1, p2) per model]` — numeric
-/// params as raw bits (floats) or plain values (indices/counts), so the
-/// decoded plan compares equal to the original and replays the identical
-/// fault stream.
-fn encode_fault_plan(plan: &FaultPlan) -> Vec<u64> {
-    let mut words = Vec::with_capacity(2 + 4 * plan.models().len());
-    words.push(plan.seed());
-    words.push(plan.models().len() as u64);
-    for model in plan.models() {
-        let (tag, p0, p1, p2) = match *model {
-            FaultModel::BitFlip { rate } => (0, rate.to_bits(), 0, 0),
-            FaultModel::NonFinite { rate } => (1, rate.to_bits(), 0, 0),
-            FaultModel::StuckAt { start, value } => (2, start as u64, value.to_bits(), 0),
-            FaultModel::InputDrift { start, ramp, magnitude } => {
-                (3, start as u64, ramp as u64, magnitude.to_bits())
-            }
-            FaultModel::CheckerBlind { rate } => (4, rate.to_bits(), 0, 0),
-            FaultModel::QueuePressure { start, slots } => (5, start as u64, slots as u64, 0),
-        };
-        words.extend([tag, p0, p1, p2]);
-    }
-    words
-}
-
-fn decode_fault_plan(words: &[u64]) -> Result<FaultPlan, String> {
-    let [seed, count, models @ ..] = words else {
-        return Err("faults section wants at least 2 words".to_owned());
-    };
-    if models.len() != *count as usize * 4 {
-        return Err(format!(
-            "faults section declares {count} models but carries {} param words",
-            models.len()
-        ));
-    }
-    let mut plan = FaultPlan::new(*seed);
-    for chunk in models.chunks_exact(4) {
-        let [tag, p0, p1, p2] = [chunk[0], chunk[1], chunk[2], chunk[3]];
-        let model = match tag {
-            0 => FaultModel::BitFlip { rate: f64::from_bits(p0) },
-            1 => FaultModel::NonFinite { rate: f64::from_bits(p0) },
-            2 => FaultModel::StuckAt { start: p0 as usize, value: f64::from_bits(p1) },
-            3 => FaultModel::InputDrift {
-                start: p0 as usize,
-                ramp: p1 as usize,
-                magnitude: f64::from_bits(p2),
-            },
-            4 => FaultModel::CheckerBlind { rate: f64::from_bits(p0) },
-            5 => FaultModel::QueuePressure { start: p0 as usize, slots: p1 as usize },
-            other => return Err(format!("unknown fault model tag {other}")),
-        };
-        plan = plan.with(model);
-    }
-    Ok(plan)
+    Ok(QueueConfig {
+        input_capacity: parse_num(input, "input_capacity")?,
+        output_capacity: parse_num(output, "output_capacity")?,
+        recovery_capacity: parse_num(recovery, "recovery_capacity")?,
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rumba_faults::FaultModel;
 
-    fn rich_config() -> SessionConfig {
-        SessionConfig {
+    fn configs() -> Vec<SessionConfig> {
+        let rich = SessionConfig {
             kernel: "gaussian".to_owned(),
             seed: 9,
             checker: CheckerKind::Ema,
@@ -357,116 +301,78 @@ mod tests {
             fix_policy: FixPolicy::Compensate { band: 0.125 },
             zoo: 2,
             refit: true,
-        }
+        };
+        vec![
+            SessionConfig::default(),
+            rich,
+            SessionConfig { mode: TuningMode::EnergyBudget { budget: 5 }, ..Default::default() },
+            SessionConfig { mode: TuningMode::BestQuality, zoo: 3, ..Default::default() },
+        ]
+    }
+
+    fn sections() -> Sections {
+        let mut sections = Sections::default();
+        sections.section("tuner").float(0.25).word(7).word(u64::MAX);
+        sections.section("queue").word(2).float(0.5).float(f64::NAN);
+        sections.section("empty");
+        sections
     }
 
     #[test]
-    fn parts_round_trip_exactly() {
-        let parts = SnapshotParts {
-            config: rich_config(),
-            runtime: vec![0.25f64.to_bits(), 7, u64::MAX],
-            stats: vec![1; 13],
-            queue: vec![2, 0.5f64.to_bits(), 0.75f64.to_bits()],
-            completed: vec![0],
-        };
-        let text = parts.encode();
-        assert!(!text.contains('\n'));
-        let back = SnapshotParts::parse(&text).unwrap();
-        assert_eq!(back.config.kernel, parts.config.kernel);
-        assert_eq!(back.config.faults, parts.config.faults);
-        assert_eq!(back.config.watchdog, parts.config.watchdog);
-        assert_eq!(back, parts);
-        // Encoding the parse is byte-identical: the codec is canonical.
-        assert_eq!(back.encode(), text);
+    fn every_config_round_trips_exactly_with_every_token_written() {
+        for config in configs() {
+            let parts = SnapshotParts { config, sections: sections() };
+            let text = parts.encode();
+            assert!(!text.contains('\n'));
+            assert!(
+                text.bytes().all(|b| matches!(b, b'a'..=b'z' | b'0'..=b'9' | b' ' | b'='
+                    | b':' | b',' | b'.' | b'_' | b'-')),
+                "{text}"
+            );
+            for key in CONFIG_KEYS {
+                assert_eq!(text.matches(&format!(" {key}=")).count(), 1, "{key} in {text}");
+            }
+            let back = SnapshotParts::parse(&text).unwrap();
+            assert_eq!(back, parts);
+            // Encoding the parse is byte-identical: the codec is canonical.
+            assert_eq!(back.encode(), text);
+        }
+    }
+
+    /// Replaces `from` with `to` and seals the result with a fresh checksum.
+    fn resealed(text: &str, from: &str, to: &str) -> String {
+        seal(text.rsplit_once(" checksum=").unwrap().0.replacen(from, to, 1))
     }
 
     #[test]
     fn parse_rejects_corruption() {
-        let parts = SnapshotParts {
-            config: SessionConfig::default(),
-            runtime: vec![1, 2],
-            stats: vec![0; 13],
-            queue: vec![0],
-            completed: vec![0],
-        };
-        let text = parts.encode();
-        assert!(SnapshotParts::parse("rumba-trained-model-cache v1").is_err());
-        assert!(SnapshotParts::parse(&text.replace("v1", "v2")).is_err());
-        assert!(
-            SnapshotParts::parse(&text.replace("section stats 13", "section stats 14")).is_err()
-        );
-        assert!(SnapshotParts::parse(text.trim_end_matches(char::is_alphanumeric)).is_err());
-        let truncated = text.rsplit_once(' ').unwrap().0;
-        assert!(SnapshotParts::parse(truncated).is_err());
-    }
-
-    #[test]
-    fn default_fix_policy_leaves_the_encoding_untouched() {
-        let parts = SnapshotParts {
-            config: SessionConfig::default(),
-            runtime: vec![1],
-            stats: vec![0; 13],
-            queue: vec![0],
-            completed: vec![0],
-        };
-        let text = parts.encode();
-        assert!(!text.contains("fix="), "{text}");
-        assert_eq!(SnapshotParts::parse(&text).unwrap().config.fix_policy, FixPolicy::Reexecute);
-
-        let comp = SnapshotParts {
-            config: SessionConfig {
-                fix_policy: FixPolicy::Compensate { band: 0.25 },
-                ..SessionConfig::default()
-            },
-            ..parts
-        };
-        let comp_text = comp.encode();
-        assert!(comp_text.contains("fix=comp:"), "{comp_text}");
-        assert_eq!(SnapshotParts::parse(&comp_text).unwrap(), comp);
-        assert!(SnapshotParts::parse(&comp_text.replace("comp:", "warp:")).is_err());
-    }
-
-    #[test]
-    fn zoo_less_sessions_leave_the_encoding_untouched() {
-        let parts = SnapshotParts {
-            config: SessionConfig::default(),
-            runtime: vec![1],
-            stats: vec![0; 13],
-            queue: vec![0],
-            completed: vec![0],
-        };
-        let text = parts.encode();
-        assert!(!text.contains("zoo="), "{text}");
-        assert_eq!(SnapshotParts::parse(&text).unwrap().config.zoo, 0);
-
-        let zooed =
-            SnapshotParts { config: SessionConfig { zoo: 3, ..SessionConfig::default() }, ..parts };
-        let zoo_text = zooed.encode();
-        assert!(zoo_text.contains(" zoo=3 "), "{zoo_text}");
-        assert_eq!(SnapshotParts::parse(&zoo_text).unwrap(), zooed);
-        assert!(SnapshotParts::parse(&zoo_text.replace("zoo=3", "zoo=x")).is_err());
-    }
-
-    #[test]
-    fn refit_less_sessions_leave_the_encoding_untouched() {
-        let parts = SnapshotParts {
-            config: SessionConfig::default(),
-            runtime: vec![1],
-            stats: vec![0; 13],
-            queue: vec![0],
-            completed: vec![0],
-        };
-        let text = parts.encode();
-        assert!(!text.contains("refit="), "{text}");
-        assert!(!SnapshotParts::parse(&text).unwrap().config.refit);
-
-        let armed = SnapshotParts {
-            config: SessionConfig { refit: true, ..SessionConfig::default() },
-            ..parts
-        };
-        let armed_text = armed.encode();
-        assert!(armed_text.contains(" refit=1 "), "{armed_text}");
-        assert_eq!(SnapshotParts::parse(&armed_text).unwrap(), armed);
-        assert!(SnapshotParts::parse(&armed_text.replace("refit=1", "refit=2")).is_err());
+        let text = SnapshotParts { config: configs()[1].clone(), sections: sections() }.encode();
+        assert!(SnapshotParts::parse(&resealed(&text, "", "")).is_ok());
+        assert!(SnapshotParts::parse("rumba-trained-model-cache v2").is_err());
+        let v1 = text.replace("v2", "v1");
+        assert!(SnapshotParts::parse(&v1).unwrap_err().contains("v1 is not supported"));
+        // Any unsealed edit fails the checksum.
+        let edited = text.replacen("window=16", "window=17", 1);
+        assert!(SnapshotParts::parse(&edited).unwrap_err().contains("checksum"));
+        assert!(SnapshotParts::parse(text.rsplit_once(' ').unwrap().0).is_err());
+        for (from, to) in [
+            (" window=16", " window=16 window=16"),
+            (" zoo=2", ""),
+            (" zoo=2", " zoo=2 colour=blue"),
+            ("refit=1", "refit=2"),
+            ("fix=comp:", "fix=warp:"),
+            ("watchdog=", "watchdog=1:"),
+            ("faults=non_finite=0.05", "faults=non_finite=NaN"),
+            ("faults=non_finite", "faults=martian"),
+            ("mode=toq", "mode=tok"),
+            ("queue=6,16,64", "queue=6,16"),
+            (" section queue 3", " section queue 4"),
+            (" section queue 3", " section queue x"),
+            (" section queue", " chapter queue"),
+            (" 0000000000000007", " 00000000000000z7"),
+        ] {
+            let bad = resealed(&text, from, to);
+            assert!(SnapshotParts::parse(&bad).is_err(), "{from:?} -> {to:?} accepted: {bad}");
+        }
     }
 }

@@ -23,6 +23,7 @@ use rumba_obs::json::{parse_object, JsonWriter, ObjectExt};
 use rumba_serve::bench::{run_net_trace, run_trace, BenchConfig};
 use rumba_serve::protocol::handle_line;
 use rumba_serve::shard::shard_of;
+use rumba_serve::snapshot::seal;
 use rumba_serve::transport::NetServer;
 use rumba_serve::ServeRuntime;
 
@@ -483,11 +484,12 @@ fn restore_under_a_different_checker_is_rejected_in_band() {
     let state = parse_object(&snap[0]).unwrap().string("state").expect("state").to_owned();
     drop(rt);
 
-    // Tamper the config line: claim the snapshot was taken under a tree
-    // checker. The embedded checker state still carries the EMA config
-    // word, so the restore must be refused.
+    // Tamper the config line and re-seal it: claim the snapshot was taken
+    // under a tree checker. The embedded checker state still carries the
+    // EMA config word, so the restore must be refused.
     assert!(state.contains("checker=ema"), "snapshot must name its checker: {state}");
-    let tampered = state.replace("checker=ema", "checker=tree");
+    let body = state.rsplit_once(" checksum=").unwrap().0;
+    let tampered = seal(body.replace("checker=ema", "checker=tree"));
 
     let restore_req = |state: &str| {
         let mut w = JsonWriter::object("request");
@@ -499,7 +501,7 @@ fn restore_under_a_different_checker_is_rejected_in_band() {
     assert!(!shutdown);
     assert_eq!(lines.len(), 1, "{lines:?}");
     assert!(lines[0].starts_with("{\"type\":\"error\""), "{lines:?}");
-    assert!(lines[0].contains("checker config mismatch"), "{lines:?}");
+    assert!(lines[0].contains("section checker: config mismatch"), "{lines:?}");
 
     // The rejection is clean: the same runtime still accepts the
     // untampered snapshot afterwards.

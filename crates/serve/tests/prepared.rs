@@ -17,6 +17,7 @@ use rumba_nn::NnDataset;
 use rumba_obs::json::{parse_object, JsonWriter, ObjectExt};
 use rumba_serve::prepared::STORE_CAPACITY;
 use rumba_serve::protocol::handle_line;
+use rumba_serve::snapshot::seal;
 use rumba_serve::ServeRuntime;
 
 const CHECKERS: [&str; 4] = ["linear", "tree", "ema", "evp"];
@@ -195,7 +196,7 @@ fn failed_opens_store_nothing() {
         assert!(rt.store().is_empty(), "{line} left a store entry");
         assert!(rt.is_empty());
     }
-    // A tampered snapshot config is rejected the same way.
+    // A tampered (and re-sealed) snapshot config is rejected the same way.
     let mut donor = ServeRuntime::new();
     handle_line(&mut donor, &base);
     let snap = handle_line(&mut donor, "{\"op\":\"snapshot\",\"session\":\"x\"}").0;
@@ -204,11 +205,14 @@ fn failed_opens_store_nothing() {
     let tampered = [
         (" queue=8,", " queue=1000000000000,"),
         (" window=8 ", " window=0 "),
-        (" section runtime ", " section runtime 999999999999999 "),
+        (" section tuner ", " section tuner 999999999999999 "),
     ];
+    let body = state.rsplit_once(" checksum=").unwrap().0;
     for (from, to) in tampered {
         let mut w = JsonWriter::object("request");
-        w.string("op", "restore").string("session", "y").string("state", &state.replace(from, to));
+        w.string("op", "restore")
+            .string("session", "y")
+            .string("state", &seal(body.replace(from, to)));
         let response = handle_line(&mut rt, &w.finish().replacen("\"type\":\"request\",", "", 1)).0;
         assert!(response[0].starts_with("{\"type\":\"error\""), "{to}: {response:?}");
         assert!(rt.store().is_empty(), "restore with {to} left a store entry");

@@ -90,16 +90,20 @@ fn restore_req(name: &str, state: &str) -> String {
     w.finish().replacen("\"type\":\"request\",", "", 1)
 }
 
-/// Word count of the snapshot's `runtime` section — the part that grows
-/// as the refit reservoir accrues rows.
-fn runtime_words(state: &str) -> usize {
+/// Word count of the snapshot's section `name` (0 when absent).
+fn section_words(state: &str, name: &str) -> usize {
     let mut tokens = state.split_whitespace();
     while let Some(t) = tokens.next() {
-        if t == "section" && tokens.next() == Some("runtime") {
-            return tokens.next().expect("runtime word count").parse().expect("decimal count");
+        if t == "section" && tokens.next() == Some(name) {
+            return tokens.next().expect("section word count").parse().expect("decimal count");
         }
     }
-    panic!("snapshot has no runtime section: {state}");
+    0
+}
+
+/// Word counts of the runtime's always-present sections.
+fn runtime_words(state: &str) -> Vec<usize> {
+    ["tuner", "window", "ladder", "checker"].map(|name| section_words(state, name)).to_vec()
 }
 
 #[test]
@@ -129,8 +133,8 @@ fn mid_refit_snapshot_restore_continue_is_bitwise_identical() {
     assert!(ack[0].starts_with("{\"type\":\"ack\",\"op\":\"restore\""), "{ack:?}");
 
     // The restored session re-snapshots to the exact same line: the refit
-    // tail (epoch, audit sums, model words, reservoir rows) is a fixed
-    // point of the codec.
+    // and reservoir sections (epoch, audit sums, model streams, reservoir
+    // rows) are a fixed point of the codec.
     assert_eq!(snapshot_state(&mut rt, "t0"), state, "snapshot must round-trip bit-exactly");
 
     let continued = replay(&mut rt, &tail);
@@ -139,7 +143,7 @@ fn mid_refit_snapshot_restore_continue_is_bitwise_identical() {
 
 #[test]
 fn reservoir_rows_accrue_in_the_snapshot_and_refit_off_stays_fixed_width() {
-    // Refit-on: the runtime section grows between an early and a late
+    // Refit-on: the reservoir section grows between an early and a late
     // snapshot — audited rows are entering the reservoir and traveling.
     let mut rt = ServeRuntime::new();
     replay(
@@ -148,23 +152,30 @@ fn reservoir_rows_accrue_in_the_snapshot_and_refit_off_stays_fixed_width() {
             .chain(invoke_script("t0", 0, 8))
             .collect::<Vec<_>>(),
     );
-    let early = runtime_words(&snapshot_state(&mut rt, "t0"));
+    let early = section_words(&snapshot_state(&mut rt, "t0"), "reservoir");
     replay(&mut rt, &invoke_script("t0", 8, 48));
-    let late = runtime_words(&snapshot_state(&mut rt, "t0"));
+    let late = section_words(&snapshot_state(&mut rt, "t0"), "reservoir");
     assert!(late > early, "reservoir rows must accrue in the snapshot: {early} -> {late}");
 
-    // Refit-off control under the identical script: the runtime section
-    // stays the historical fixed width throughout.
+    // Refit-off control under the identical script: no refit or
+    // reservoir section, and the runtime sections stay fixed width.
     let open_off = open_refit_req("t1").replace(",\"refit\":true", "");
     let mut rt = ServeRuntime::new();
     replay(
         &mut rt,
         &std::iter::once((open_off, "open")).chain(invoke_script("t1", 0, 8)).collect::<Vec<_>>(),
     );
-    let early_off = runtime_words(&snapshot_state(&mut rt, "t1"));
+    let early_off = snapshot_state(&mut rt, "t1");
     replay(&mut rt, &invoke_script("t1", 8, 48));
-    let late_off = runtime_words(&snapshot_state(&mut rt, "t1"));
-    assert_eq!(early_off, late_off, "refit-off runtime section must stay fixed width");
+    let late_off = snapshot_state(&mut rt, "t1");
+    for state in [&early_off, &late_off] {
+        assert_eq!(section_words(state, "refit") + section_words(state, "reservoir"), 0);
+    }
+    assert_eq!(
+        runtime_words(&early_off),
+        runtime_words(&late_off),
+        "refit-off runtime sections must stay fixed width"
+    );
 }
 
 /// One lockstep client connection (the `net.rs` idiom): sends a request
